@@ -17,41 +17,25 @@
 //! busy work: a memory copy, per-message CPU overhead, a reduction) or
 //! resumes from a wait whose enabling write happened later than the
 //! moment it blocked.
+//!
+//! Host cost per turn handoff is O(log P): runnable LPs sit in an
+//! ordered ready set keyed by `(effective time, id)`, and a store pokes
+//! only the LPs registered under that variable's key. The granter drops
+//! the scheduler lock before waking the next LP's thread, so the woken
+//! thread never wakes straight into a held lock.
 
 use crate::config::MachineConfig;
 use crate::error::{BlockedLp, SimError};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::time::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a logical process, dense from 0.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LpId(pub usize);
-
-/// The set of SimVar keys a blocked LP is waiting on. The common case
-/// is a single variable (every [`SimVar`](crate::simvar::SimVar) wait);
-/// `Any` backs [`Ctx::wait_any_until`], which parks an LP until *one
-/// of* several variables is written — the primitive the nonblocking
-/// collective executor needs to sleep on the union of all its parked
-/// schedules' wake conditions.
-#[derive(Debug)]
-enum WaitTarget {
-    /// Blocked on one variable.
-    One(u64),
-    /// Blocked on any of these variables.
-    Any(Vec<u64>),
-}
-
-impl WaitTarget {
-    fn contains(&self, key: u64) -> bool {
-        match self {
-            WaitTarget::One(v) => *v == key,
-            WaitTarget::Any(vs) => vs.contains(&key),
-        }
-    }
-}
 
 /// Scheduler-visible state of one LP.
 #[derive(Debug)]
@@ -62,7 +46,6 @@ enum LpState {
     Running,
     /// Parked in a wait on one or more SimVars.
     Blocked {
-        target: WaitTarget,
         label: &'static str,
         /// Set when a store to a watched variable may have made the
         /// predicate true.
@@ -78,15 +61,59 @@ struct Lp {
     time: SimTime,
     state: LpState,
     name: String,
+    /// Bumped on every block; tags this LP's waiter registrations so a
+    /// registration left over from an earlier wait is recognised as stale.
+    block_gen: u64,
+    /// Granted the turn by a poke and not yet past its predicate
+    /// re-check (cleared on commit, counted as spurious on rollback).
+    rechecking: bool,
+}
+
+impl Lp {
+    /// Whether a waiter registration tagged `gen` can still be poked.
+    fn waits_at(&self, gen: u64) -> bool {
+        self.block_gen == gen && matches!(self.state, LpState::Blocked { poked: false, .. })
+    }
+
+    /// The time at which this LP competes for the turn, or `None` when
+    /// it is not runnable. Blocked-but-poked LPs compete at
+    /// `max(block_time, poke_time)`. Release builds never scan for it:
+    /// grants take it from the ready-set key.
+    #[cfg(debug_assertions)]
+    fn effective_time(&self) -> Option<SimTime> {
+        match self.state {
+            LpState::Ready => Some(self.time),
+            LpState::Blocked {
+                poked: true,
+                poke_time,
+                ..
+            } => Some(self.time.max(poke_time)),
+            _ => None,
+        }
+    }
 }
 
 pub(crate) struct Sched {
     lps: Vec<Lp>,
     cvs: Vec<Arc<Condvar>>,
+    /// Every runnable LP keyed by `(effective time, id)`: an LP is in
+    /// the set iff it is `Ready` or `Blocked { poked: true }`. The
+    /// first element is the next turn holder; the `(time, id)` order is
+    /// the min-time, lowest-id tie rule.
+    ready: BTreeSet<(SimTime, usize)>,
+    /// SimVar key -> `(lp, block_gen)` registrations of LPs that blocked
+    /// on it. Entries whose generation is no longer current are stale
+    /// and skipped; each list is pruned as it grows, so its length stays
+    /// within a constant factor of the live waits on that key.
+    waiters: HashMap<u64, Vec<(usize, u64)>>,
     live: usize,
     /// First fatal outcome (deadlock or LP panic); ends the run.
     outcome: Option<SimError>,
     started: bool,
+    /// Grants of the turn to a parked LP (each wakes one thread).
+    turn_handoffs: u64,
+    /// Poked waits whose predicate re-check failed and rolled back.
+    spurious_wakes: u64,
 }
 
 /// Shared kernel state; one per simulation run.
@@ -105,84 +132,114 @@ pub(crate) struct Shared {
 /// (deadlock detected or another LP panicked). Never observed by users.
 struct AbortSim;
 
-impl Shared {
-    fn abort_all(sched: &mut Sched, outcome: SimError) {
-        if sched.outcome.is_none() {
-            sched.outcome = Some(outcome);
+impl Sched {
+    fn abort_all(&mut self, outcome: SimError) {
+        if self.outcome.is_none() {
+            self.outcome = Some(outcome);
         }
-        for cv in &sched.cvs {
+        for cv in &self.cvs {
             cv.notify_one();
         }
     }
 
-    /// Pick the runnable LP with the minimum effective time; ties go to
-    /// the lowest id. Blocked-but-poked LPs compete at
-    /// `max(block_time, poke_time)`.
-    fn pick_next(sched: &Sched) -> Option<usize> {
-        let mut best: Option<(SimTime, usize)> = None;
-        for (i, lp) in sched.lps.iter().enumerate() {
-            let eff = match lp.state {
-                LpState::Ready => lp.time,
-                LpState::Blocked {
-                    poked: true,
-                    poke_time,
-                    ..
-                } => lp.time.max(poke_time),
-                _ => continue,
-            };
-            match best {
-                Some((t, _)) if t <= eff => {}
-                _ => best = Some((eff, i)),
-            }
-        }
-        best.map(|(_, i)| i)
+    /// The runnable LP with the minimum effective time (ties: lowest
+    /// id), with that time.
+    fn pick_next(&self) -> Option<(SimTime, usize)> {
+        let head = self.ready.first().copied();
+        #[cfg(debug_assertions)]
+        self.check_ready_set(head);
+        head
     }
 
-    /// Hand the turn to `next`, committing a poked LP's tentative resume
-    /// time (the wait loop overwrites or rolls it back after the
-    /// predicate re-check).
-    fn grant(sched: &mut Sched, next: usize) {
-        let lp = &mut sched.lps[next];
-        if let LpState::Blocked {
-            poked: true,
-            poke_time,
-            ..
-        } = lp.state
-        {
-            lp.time = lp.time.max(poke_time);
+    /// Debug-build oracle: the ready set holds exactly the runnable LPs
+    /// at their effective times, and its head is the linear-scan minimum.
+    #[cfg(debug_assertions)]
+    fn check_ready_set(&self, head: Option<(SimTime, usize)>) {
+        let runnable: Vec<(SimTime, usize)> = (self.lps.iter().enumerate())
+            .filter_map(|(i, lp)| Some((lp.effective_time()?, i)))
+            .collect();
+        for key in &runnable {
+            assert!(
+                self.ready.contains(key),
+                "runnable LP {} not in the ready set",
+                key.1
+            );
         }
+        assert_eq!(
+            self.ready.len(),
+            runnable.len(),
+            "ready set holds a non-runnable LP"
+        );
+        assert_eq!(
+            head,
+            runnable.into_iter().min(),
+            "ready-set head is not the scan minimum"
+        );
+    }
+
+    /// Hand the turn to the ready-set entry `(eff, next)`, committing a
+    /// poked LP's tentative resume time `eff` (the wait loop keeps or
+    /// rolls it back after the predicate re-check). Returns the condvar
+    /// to notify once the scheduler lock is released.
+    fn grant(&mut self, (eff, next): (SimTime, usize)) -> Arc<Condvar> {
+        let was_ready = self.ready.remove(&(eff, next));
+        debug_assert!(was_ready, "granted LP {next} was not in the ready set");
+        let lp = &mut self.lps[next];
+        lp.rechecking = matches!(lp.state, LpState::Blocked { .. });
+        lp.time = eff;
         lp.state = LpState::Running;
-        sched.cvs[next].notify_one();
+        self.turn_handoffs += 1;
+        self.cvs[next].clone()
     }
 
     /// Called by the turn holder after changing its own state away from
     /// `Running`: pass the turn on, or end the run (completion/deadlock).
-    fn dispatch(sched: &mut Sched) {
-        if sched.outcome.is_some() {
-            Self::abort_all(sched, sched.outcome.clone().expect("just checked"));
-            return;
+    /// Returns the condvar of the new turn holder, to notify after
+    /// unlocking.
+    fn dispatch(&mut self) -> Option<Arc<Condvar>> {
+        if let Some(outcome) = self.outcome.clone() {
+            self.abort_all(outcome);
+            return None;
         }
-        match Self::pick_next(sched) {
-            Some(next) => Self::grant(sched, next),
-            None => {
-                if sched.live > 0 {
-                    let blocked = sched
-                        .lps
-                        .iter()
-                        .filter_map(|lp| match lp.state {
-                            LpState::Blocked { label, .. } => Some(BlockedLp {
-                                name: lp.name.clone(),
-                                time: lp.time,
-                                waiting_on: label,
-                            }),
-                            _ => None,
-                        })
-                        .collect();
-                    Self::abort_all(sched, SimError::Deadlock { blocked });
-                }
-                // live == 0: run complete, nothing to do.
-            }
+        if let Some(head) = self.pick_next() {
+            return Some(self.grant(head));
         }
+        if self.live > 0 {
+            let blocked = self
+                .lps
+                .iter()
+                .filter_map(|lp| match lp.state {
+                    LpState::Blocked { label, .. } => Some(BlockedLp {
+                        name: lp.name.clone(),
+                        time: lp.time,
+                        waiting_on: label,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            self.abort_all(SimError::Deadlock { blocked });
+        }
+        // live == 0: run complete, nothing to do.
+        None
+    }
+
+    /// Register LP `id`, blocked at generation `gen`, as a waiter on `key`.
+    fn register_waiter(&mut self, key: u64, id: usize, gen: u64) {
+        let Sched { lps, waiters, .. } = self;
+        let list = waiters.entry(key).or_default();
+        if list.len() == list.capacity() {
+            // Prune before growing, then keep at least as much room as
+            // survived: pruning stays amortised O(1) per registration.
+            list.retain(|&(lp, g)| lps[lp].waits_at(g));
+            list.reserve(list.len());
+        }
+        list.push((id, gen));
+    }
+
+    /// Length of `key`'s waiter list, stale entries included.
+    #[cfg(test)]
+    fn waiter_list_len(&self, key: u64) -> usize {
+        self.waiters.get(&key).map_or(0, Vec::len)
     }
 }
 
@@ -274,24 +331,36 @@ impl Ctx {
         }
     }
 
-    /// Give up the turn and wait for it back; used after this LP's clock
-    /// moved or when it transitioned to Ready.
-    fn reschedule(&self, mut sched: parking_lot::MutexGuard<'_, Sched>) {
-        sched.lps[self.id].state = LpState::Ready;
-        match Shared::pick_next(&sched) {
-            Some(next) if next == self.id => {
-                sched.lps[self.id].state = LpState::Running;
-            }
-            Some(next) => {
-                Shared::grant(&mut sched, next);
-                self.wait_for_turn(sched);
-            }
-            None => unreachable!("the calling LP is Ready"),
+    /// Give up the turn if another runnable LP now has a smaller
+    /// `(time, id)`, and wait for it back; used after this LP's clock
+    /// moved. While it is still the minimum it keeps the turn without
+    /// touching the ready set.
+    fn reschedule(&self, mut sched: MutexGuard<'_, Sched>) {
+        let me = (sched.lps[self.id].time, self.id);
+        if let Some(head) = sched.pick_next().filter(|&head| head < me) {
+            sched.lps[self.id].state = LpState::Ready;
+            sched.ready.insert(me);
+            let next = sched.grant(head);
+            self.pass_turn(sched, Some(next));
         }
     }
 
+    /// Wake the new turn holder `next` with the scheduler lock released,
+    /// then park until this LP holds the turn again. Notifying under the
+    /// lock would let the woken thread preempt the granter only to block
+    /// on the lock the granter still holds. No wake-up is lost: the
+    /// grant was made under the lock, and [`Ctx::wait_for_turn`]
+    /// re-checks the state under the lock before every wait.
+    fn pass_turn(&self, sched: MutexGuard<'_, Sched>, next: Option<Arc<Condvar>>) {
+        drop(sched);
+        if let Some(cv) = next {
+            cv.notify_one();
+        }
+        self.wait_for_turn(self.shared.sched.lock());
+    }
+
     /// Park until this LP is `Running` again (or the run is aborted).
-    pub(crate) fn wait_for_turn(&self, mut sched: parking_lot::MutexGuard<'_, Sched>) {
+    pub(crate) fn wait_for_turn(&self, mut sched: MutexGuard<'_, Sched>) {
         loop {
             if sched.outcome.is_some() {
                 drop(sched);
@@ -310,24 +379,25 @@ impl Ctx {
     /// re-checks its predicate and either commits a resume time or calls
     /// [`Ctx::rollback_time`].
     pub(crate) fn block_on(&self, var_key: u64, label: &'static str) {
-        self.block_on_target(WaitTarget::One(var_key), label);
+        self.block_on_any(&[var_key], label);
     }
 
     /// Like [`Ctx::block_on`], but wakes on a store to *any* of `keys`.
     pub(crate) fn block_on_any(&self, keys: &[u64], label: &'static str) {
-        self.block_on_target(WaitTarget::Any(keys.to_vec()), label);
-    }
-
-    fn block_on_target(&self, target: WaitTarget, label: &'static str) {
         let mut sched = self.shared.sched.lock();
-        sched.lps[self.id].state = LpState::Blocked {
-            target,
+        let lp = &mut sched.lps[self.id];
+        lp.block_gen += 1;
+        let gen = lp.block_gen;
+        lp.state = LpState::Blocked {
             label,
             poked: false,
             poke_time: SimTime::ZERO,
         };
-        Shared::dispatch(&mut sched);
-        self.wait_for_turn(sched);
+        for &key in keys {
+            sched.register_waiter(key, self.id, gen);
+        }
+        let next = sched.dispatch();
+        self.pass_turn(sched, next);
     }
 
     /// Block until `ready()` holds, waking whenever any of the SimVars
@@ -358,6 +428,8 @@ impl Ctx {
         loop {
             self.block_on_any(keys, label);
             if ready() {
+                // The grant's resume time stands: not a spurious wake.
+                self.shared.sched.lock().lps[self.id].rechecking = false;
                 return;
             }
             self.rollback_time(block_time);
@@ -366,37 +438,54 @@ impl Ctx {
 
     /// Predicate re-check failed after a poke: restore the clock to the
     /// time at which the LP originally blocked (the tentative poke time
-    /// consumed no simulated work) and hand the turn back. The caller
-    /// loops back into [`Ctx::block_on`].
+    /// consumed no simulated work). The caller loops back into
+    /// [`Ctx::block_on`].
     pub(crate) fn rollback_time(&self, to: SimTime) {
         let mut sched = self.shared.sched.lock();
-        sched.lps[self.id].time = to;
+        let lp = &mut sched.lps[self.id];
+        lp.time = to;
+        if std::mem::take(&mut lp.rechecking) {
+            sched.spurious_wakes += 1;
+        }
     }
 
     /// Set this LP's clock (used by SimVar to commit a causal resume time;
     /// never moves backwards past the blocking time).
     pub(crate) fn set_time(&self, t: SimTime) {
         let mut sched = self.shared.sched.lock();
-        sched.lps[self.id].time = t;
+        let lp = &mut sched.lps[self.id];
+        lp.time = t;
+        lp.rechecking = false;
     }
 
     /// Wake every LP currently blocked on `var_key`, stamping the first
-    /// poke with the writer's current time.
+    /// poke with the writer's current time. Each poked LP enters the
+    /// ready set at `max(block_time, at)`.
     pub(crate) fn poke_waiters(&self, var_key: u64, at: SimTime) {
         let mut sched = self.shared.sched.lock();
-        for lp in &mut sched.lps {
+        let Sched {
+            lps,
+            ready,
+            waiters,
+            ..
+        } = &mut *sched;
+        let Some(list) = waiters.get_mut(&var_key) else {
+            return;
+        };
+        // Every live entry is poked now, so the whole list is consumed.
+        for (i, gen) in list.drain(..) {
+            let lp = &mut lps[i];
+            if !lp.waits_at(gen) {
+                continue;
+            }
             if let LpState::Blocked {
-                target,
-                poked,
-                poke_time,
-                ..
+                poked, poke_time, ..
             } = &mut lp.state
             {
-                if target.contains(var_key) && !*poked {
-                    *poked = true;
-                    *poke_time = at;
-                }
+                *poked = true;
+                *poke_time = at;
             }
+            ready.insert((lp.time.max(at), i));
         }
     }
 
@@ -649,6 +738,13 @@ pub struct Report {
     /// rows — which communicators' compiles found a tuning-table entry.
     /// Empty unless a tuning table is loaded.
     pub tune_by_comm: Vec<(u64, u64, u64)>,
+    /// Host-side kernel counter: grants of the turn to a parked LP,
+    /// the initial grant included. An LP that keeps the turn after an
+    /// advance is not a handoff.
+    pub turn_handoffs: u64,
+    /// Host-side kernel counter: poked waits whose predicate re-check
+    /// failed, so the LP rolled its clock back and blocked again.
+    pub spurious_wakes: u64,
 }
 
 impl Sim {
@@ -659,9 +755,13 @@ impl Sim {
                 sched: Mutex::new(Sched {
                     lps: Vec::new(),
                     cvs: Vec::new(),
+                    ready: BTreeSet::new(),
+                    waiters: HashMap::new(),
                     live: 0,
                     outcome: None,
                     started: false,
+                    turn_handoffs: 0,
+                    spurious_wakes: 0,
                 }),
                 metrics: Metrics::default(),
                 plan_by_comm: crate::metrics::PlanByComm::default(),
@@ -709,7 +809,10 @@ impl Sim {
             time: SimTime::ZERO,
             state: LpState::Ready,
             name: name.into(),
+            block_gen: 0,
+            rechecking: false,
         });
+        sched.ready.insert((SimTime::ZERO, id));
         sched.cvs.push(Arc::new(Condvar::new()));
         sched.live += 1;
         drop(sched);
@@ -766,9 +869,9 @@ impl Sim {
 
         // Kick off: hand the turn to LP 0 (all clocks are zero; lowest id
         // wins the tie, same rule the scheduler uses throughout).
-        {
-            let mut sched = shared.sched.lock();
-            Shared::dispatch(&mut sched);
+        let first = shared.sched.lock().dispatch();
+        if let Some(cv) = first {
+            cv.notify_one();
         }
 
         for h in handles {
@@ -788,6 +891,8 @@ impl Sim {
             metrics: shared.metrics.snapshot(),
             plan_by_comm: shared.plan_by_comm.snapshot(),
             tune_by_comm: shared.tune_by_comm.snapshot(),
+            turn_handoffs: sched.turn_handoffs,
+            spurious_wakes: sched.spurious_wakes,
         })
     }
 }
@@ -808,7 +913,11 @@ fn lp_thread(shared: Arc<Shared>, id: usize, main: LpMain) {
         Ok(()) => {
             sched.lps[id].state = LpState::Done;
             sched.live -= 1;
-            Shared::dispatch(&mut sched);
+            let next = sched.dispatch();
+            drop(sched);
+            if let Some(cv) = next {
+                cv.notify_one();
+            }
         }
         Err(payload) => {
             if payload.downcast_ref::<AbortSim>().is_some() {
@@ -823,7 +932,7 @@ fn lp_thread(shared: Arc<Shared>, id: usize, main: LpMain) {
             let name = sched.lps[id].name.clone();
             sched.lps[id].state = LpState::Done;
             sched.live -= 1;
-            Shared::abort_all(&mut sched, SimError::LpPanic { name, message });
+            sched.abort_all(SimError::LpPanic { name, message });
         }
     }
 }
@@ -1024,5 +1133,133 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    /// `n` LPs pass one shared counter around: LP `k` waits for
+    /// `v == n*lap + k`, works 10 ns, increments. With `n > 2` every
+    /// store also pokes the LPs whose turn it is not.
+    fn shared_counter_ring(n: u64, laps: u64) -> Report {
+        let mut s = sim();
+        let v = s.handle().var(0u64);
+        for k in 0..n {
+            let v = v.clone();
+            s.spawn(format!("lp{k}"), move |ctx| {
+                for lap in 0..laps {
+                    v.wait(&ctx, "my turn", |x| *x == n * lap + k);
+                    ctx.advance(SimTime::from_ns(10));
+                    v.update(&ctx, |x| *x += 1);
+                }
+            });
+        }
+        s.run().unwrap()
+    }
+
+    #[test]
+    fn handoff_and_spurious_counters_are_exact() {
+        // Ping-pong: the kick-off grant, `a` yielding to `b` at its
+        // first advance, `b` blocking back to `a`, then one handoff per
+        // store but the last (the writer blocks right after storing).
+        // Every poke satisfies its waiter.
+        let r = shared_counter_ring(2, 500);
+        assert_eq!(r.end_time, SimTime::from_ns(10_000));
+        assert_eq!((r.turn_handoffs, r.spurious_wakes), (1002, 0));
+        // Four-LP ring: a store pokes the three other LPs. Two fail the
+        // re-check (2 x 396 stores, then 2, 1, 0, 0 as LPs finish), and
+        // the one whose turn it is loses the turn again after its
+        // advance when a poked LP with a higher id is still to run: 3.75
+        // grants per store.
+        let r = shared_counter_ring(4, 100);
+        assert_eq!(r.end_time, SimTime::from_ns(4_000));
+        assert_eq!((r.turn_handoffs, r.spurious_wakes), (1498, 795));
+    }
+
+    #[test]
+    fn token_ring_of_256_lps_keeps_exact_time() {
+        // A lost wake-up would deadlock or stall the ring; a scheduling
+        // error would move the clocks.
+        const P: usize = 256;
+        const LAPS: u64 = 300;
+        let d = SimTime::from_ns(7);
+        let mut s = sim();
+        let h = s.handle();
+        let tokens: Vec<_> = (0..P).map(|_| h.var(0u64)).collect();
+        for k in 0..P {
+            let mine = tokens[k].clone();
+            let next = tokens[(k + 1) % P].clone();
+            s.spawn(format!("lp{k}"), move |ctx| {
+                for lap in 0..LAPS {
+                    // LP 0 holds the token at the start.
+                    let want = if k == 0 { lap } else { lap + 1 };
+                    mine.wait(&ctx, "token", |c| *c >= want);
+                    ctx.advance(d);
+                    next.update(&ctx, |c| *c += 1);
+                }
+            });
+        }
+        let r = s.run().unwrap();
+        let hop = |n: u64| SimTime::from_ps(d.as_ps() * n);
+        assert_eq!(r.end_time, hop(LAPS * P as u64));
+        let expect: Vec<_> = (0..P as u64)
+            .map(|k| hop((LAPS - 1) * P as u64 + k + 1))
+            .collect();
+        assert_eq!(r.lp_times, expect);
+    }
+
+    #[test]
+    fn lp_panic_with_255_parked_lps_is_reported() {
+        let mut s = sim();
+        let never = s.handle().var(false);
+        s.spawn("bad", |ctx| {
+            // Runs after every other LP has parked at t=0.
+            ctx.advance(SimTime::from_us(1));
+            panic!("boom at scale");
+        });
+        for k in 1..256 {
+            let never = never.clone();
+            s.spawn(format!("parked{k}"), move |ctx| {
+                never.wait(&ctx, "never", |b| *b);
+            });
+        }
+        match s.run() {
+            Err(SimError::LpPanic { name, message }) => {
+                assert_eq!(name, "bad");
+                assert!(message.contains("boom at scale"));
+            }
+            other => panic!("expected panic outcome, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wait_any_leaves_unwritten_key_list_bounded() {
+        // Every wake comes through `a`; each block also registers under
+        // `b`, which is never written. Those stale entries must be pruned.
+        const WAKES: u64 = 10_000;
+        let mut s = sim();
+        let h = s.handle();
+        let a = h.var(0u64);
+        let b = h.var(0u64);
+        let (ka, kb) = (a.wait_key(), b.wait_key());
+        let aw = a.clone();
+        s.spawn("writer", move |ctx| {
+            for i in 1..=WAKES {
+                ctx.advance(SimTime::from_ns(1));
+                aw.store(&ctx, i);
+            }
+        });
+        s.spawn("waiter", move |ctx| {
+            for i in 1..=WAKES {
+                ctx.wait_any_until(&[ka, kb], "a reaches i", || a.with(|x| *x >= i));
+            }
+        });
+        let r = s.run().unwrap();
+        assert_eq!(r.end_time, SimTime::from_ns(WAKES));
+        assert_eq!(r.spurious_wakes, 0);
+        let sched = h.shared.sched.lock();
+        assert_eq!(sched.waiter_list_len(ka), 0);
+        assert!(
+            sched.waiter_list_len(kb) <= 8,
+            "stale waiters piled up: {}",
+            sched.waiter_list_len(kb)
+        );
     }
 }

@@ -143,9 +143,10 @@ impl Default for HarnessOpts {
 ///
 /// Methodology: every rank performs one warmup call (fills pipelines,
 /// triggers any lazy setup), synchronizes with the implementation's own
-/// barrier, then performs `iters` timed calls. The reported time is
-/// rank 0's elapsed virtual time over the timed region divided by
-/// `iters` — the same "mean time per call" the paper plots.
+/// barrier, then performs `iters` timed calls. The reported time runs
+/// from the last rank's start of the timed region to the last rank's
+/// finish, divided by `iters` — the same "mean time per call" the paper
+/// plots.
 pub fn measure(
     imp: Impl,
     machine: MachineConfig,
