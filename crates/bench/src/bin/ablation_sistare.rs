@@ -5,48 +5,9 @@
 //! task arrives late and we watch how much of the delay each algorithm
 //! absorbs.
 
-use simnet::{MachineConfig, Sim, SimTime, Topology};
-use srm::{SrmTuning, SrmWorld};
-use std::sync::{Arc, Mutex};
-
-fn run(sistare: bool, skew_us: u64) -> SimTime {
-    let topo = Topology::new(1, 16);
-    let len = 8 << 10;
-    let iters = 6usize;
-    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
-    let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
-    let out = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..topo.nprocs() {
-        let comm = world.comm(rank);
-        let out = out.clone();
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let buf = comm.alloc_buffer(len);
-            let bcast = |ctx: &simnet::Ctx| {
-                if sistare {
-                    comm.smp_bcast_sistare(ctx, &buf, len, 0)
-                } else {
-                    comm.smp_bcast(ctx, &buf, len, 0)
-                }
-            };
-            bcast(&ctx);
-            let t0 = ctx.now();
-            for _ in 0..iters {
-                if rank == 7 {
-                    // The straggler: late at every call (a daemon hit it).
-                    ctx.advance(SimTime::from_us(skew_us));
-                }
-                bcast(&ctx);
-            }
-            out.lock().unwrap().push((t0, ctx.now()));
-            comm.shutdown(&ctx);
-        });
-    }
-    sim.run().expect("run completes");
-    let samples = out.lock().unwrap();
-    let start = samples.iter().map(|s| s.0).max().unwrap();
-    let end = samples.iter().map(|s| s.1).max().unwrap();
-    SimTime::from_ps((end - start).as_ps() / iters as u64)
-}
+use simnet::SimTime;
+use srm::SrmComm;
+use srm_bench::time_smp_bcast;
 
 fn main() {
     println!("Ablation A5: straggler tolerance, 8 KB broadcast on a 16-way node\n");
@@ -55,11 +16,13 @@ fn main() {
         "skew (us)", "SRM flags (us)", "barrier-sync (us)"
     );
     for skew in [0u64, 10, 50, 200] {
+        // The straggler is late at every call (a daemon hit it).
+        let run = |bcast| time_smp_bcast(bcast, 8 << 10, 6, Some(SimTime::from_us(skew))).as_us();
         println!(
             "{:>12} {:>16.1} {:>20.1}",
             skew,
-            run(false, skew).as_us(),
-            run(true, skew).as_us()
+            run(SrmComm::smp_bcast),
+            run(SrmComm::smp_bcast_sistare)
         );
     }
     println!("\npaper §4: flag-based coordination is 'less susceptible to the processor late arrivals and delays'");

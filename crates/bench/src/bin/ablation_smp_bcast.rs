@@ -3,47 +3,8 @@
 //! algorithm faster despite read contention. This binary measures all
 //! three in-tree variants on one 16-way node.
 
-use simnet::{MachineConfig, Sim, SimTime, Topology};
-use srm::{SrmTuning, SrmWorld};
-use std::sync::{Arc, Mutex};
-
-#[derive(Clone, Copy, Debug)]
-enum Variant {
-    Flat,
-    Tree,
-    Sistare,
-}
-
-fn run(variant: Variant, len: usize, iters: usize) -> SimTime {
-    let topo = Topology::new(1, 16);
-    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
-    let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
-    let out = Arc::new(Mutex::new(Vec::new()));
-    for rank in 0..topo.nprocs() {
-        let comm = world.comm(rank);
-        let out = out.clone();
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let buf = comm.alloc_buffer(len);
-            let bcast = |ctx: &simnet::Ctx| match variant {
-                Variant::Flat => comm.smp_bcast(ctx, &buf, len, 0),
-                Variant::Tree => comm.smp_bcast_tree(ctx, &buf, len, 0),
-                Variant::Sistare => comm.smp_bcast_sistare(ctx, &buf, len, 0),
-            };
-            bcast(&ctx); // warmup
-            let t0 = ctx.now();
-            for _ in 0..iters {
-                bcast(&ctx);
-            }
-            out.lock().unwrap().push((t0, ctx.now()));
-            comm.shutdown(&ctx);
-        });
-    }
-    sim.run().expect("run completes");
-    let samples = out.lock().unwrap();
-    let start = samples.iter().map(|s| s.0).max().unwrap();
-    let end = samples.iter().map(|s| s.1).max().unwrap();
-    SimTime::from_ps((end - start).as_ps() / iters as u64)
-}
+use srm::SrmComm;
+use srm_bench::time_smp_bcast;
 
 fn main() {
     println!("Ablation A2: intra-node broadcast algorithm, 16-way node\n");
@@ -56,9 +17,9 @@ fn main() {
         println!(
             "{:>10} {:>12.1} {:>12.1} {:>14.1}",
             len,
-            run(Variant::Flat, len, iters).as_us(),
-            run(Variant::Tree, len, iters).as_us(),
-            run(Variant::Sistare, len, iters).as_us(),
+            time_smp_bcast(SrmComm::smp_bcast, len, iters, None).as_us(),
+            time_smp_bcast(SrmComm::smp_bcast_tree, len, iters, None).as_us(),
+            time_smp_bcast(SrmComm::smp_bcast_sistare, len, iters, None).as_us(),
         );
     }
     println!("\npaper's finding: flat wins despite contention; barrier-synchronized [11] is slowest for small messages");

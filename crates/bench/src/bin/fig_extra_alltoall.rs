@@ -15,56 +15,10 @@
 use simnet::MachineConfig;
 use srm::SrmTuning;
 use srm_bench::{
-    fast_mode, iters_for, print_comparison_panel, print_ratio_panels, proc_grid, Point, Sweep,
+    fast_mode, iters_for, pair_size_grid, print_comparison_panel, print_ratio_panels, proc_grid,
+    run_sweep,
 };
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
-
-fn pair_size_grid(nprocs: usize) -> Vec<usize> {
-    let all = if fast_mode() {
-        vec![8, 512, 4 << 10, 16 << 10]
-    } else {
-        vec![8, 128, 512, 2 << 10, 4 << 10, 16 << 10, 64 << 10]
-    };
-    // Cap the per-rank working set (nprocs segments each way): total
-    // traffic grows as nprocs^2 x len, so large segments are only
-    // affordable at small process counts.
-    all.into_iter()
-        .filter(|&l| nprocs * l <= 512 << 10)
-        .collect()
-}
-
-fn run_sweep(op: Op) -> Sweep {
-    let machine = MachineConfig::ibm_sp_colony();
-    let mut points = Vec::new();
-    for topo in proc_grid() {
-        for &len in &pair_size_grid(topo.nprocs()) {
-            for imp in Impl::ALL {
-                let opts = HarnessOpts {
-                    iters: iters_for(len * topo.nprocs()),
-                    ..Default::default()
-                };
-                let wall = std::time::Instant::now();
-                let m = measure(imp, machine.clone(), topo, op, len, opts);
-                eprintln!(
-                    "[run] {} {} P={} seg={} -> {:.1}us (wall {:.1?})",
-                    op.name(),
-                    imp.name(),
-                    topo.nprocs(),
-                    len,
-                    m.per_call.as_us(),
-                    wall.elapsed()
-                );
-                points.push(Point {
-                    imp,
-                    nprocs: topo.nprocs(),
-                    len,
-                    us: m.per_call.as_us(),
-                });
-            }
-        }
-    }
-    Sweep { points }
-}
 
 /// Rabenseifner vs pipeline allreduce: same machine, same topology,
 /// only the `allreduce_rs_min` switch differs.
@@ -123,7 +77,7 @@ fn rabenseifner_panel() {
 
 fn main() {
     for op in [Op::Alltoall, Op::ReduceScatter] {
-        let s = run_sweep(op);
+        let s = run_sweep(op, pair_size_grid, true);
         let title = format!("Extra figure: {} (per-pair segment bytes)", op.name());
         // The absolute panel shows the largest process count, where the
         // working-set cap admits only segments up to 512 KB / nprocs.

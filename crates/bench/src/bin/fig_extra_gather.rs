@@ -9,11 +9,8 @@
 //! channels, direct user-buffer puts, landing-pair distribution)
 //! compose into vector collectives with the same kind of advantage.
 
-use simnet::MachineConfig;
-use srm_bench::{
-    fast_mode, iters_for, print_comparison_panel, print_ratio_panels, proc_grid, Point, Sweep,
-};
-use srm_cluster::{measure, HarnessOpts, Impl, Op};
+use srm_bench::{fast_mode, print_comparison_panel, print_ratio_panels, run_sweep};
+use srm_cluster::Op;
 
 fn seg_size_grid(op: Op) -> Vec<usize> {
     // Allgather moves nprocs x the gathered buffer again on the
@@ -32,42 +29,9 @@ fn seg_size_grid(op: Op) -> Vec<usize> {
     all.into_iter().filter(|&l| l <= top).collect()
 }
 
-fn run_sweep(op: Op) -> Sweep {
-    let machine = MachineConfig::ibm_sp_colony();
-    let mut points = Vec::new();
-    for topo in proc_grid() {
-        for &len in &seg_size_grid(op) {
-            for imp in Impl::ALL {
-                let opts = HarnessOpts {
-                    iters: iters_for(len * topo.nprocs()),
-                    ..Default::default()
-                };
-                let wall = std::time::Instant::now();
-                let m = measure(imp, machine.clone(), topo, op, len, opts);
-                eprintln!(
-                    "[run] {} {} P={} seg={} -> {:.1}us (wall {:.1?})",
-                    op.name(),
-                    imp.name(),
-                    topo.nprocs(),
-                    len,
-                    m.per_call.as_us(),
-                    wall.elapsed()
-                );
-                points.push(Point {
-                    imp,
-                    nprocs: topo.nprocs(),
-                    len,
-                    us: m.per_call.as_us(),
-                });
-            }
-        }
-    }
-    Sweep { points }
-}
-
 fn main() {
     for op in [Op::Gather, Op::Scatter, Op::Allgather] {
-        let s = run_sweep(op);
+        let s = run_sweep(op, |_| seg_size_grid(op), true);
         let title = format!("Extra figure: {} (per-rank segment bytes)", op.name());
         print_comparison_panel(&title, &s, 64 << 10);
         print_ratio_panels(&title, &s);

@@ -1,21 +1,22 @@
-//! Sweep driver and reporting for the per-figure benchmark binaries.
+//! Sweep driver and reporting for the figure benchmark binaries.
 //!
-//! Every figure binary runs (or loads from the CSV cache under
-//! `bench_results/`) a **sweep**: the full grid of message sizes ×
-//! processor counts × implementations for one collective, measured in
-//! virtual time by the root crate's harness. Figures 6–8 print the
-//! absolute series; Figures 9–11 print the `T_SRM/T_MPI` ratios from
-//! the same data; Figure 12 sweeps processor counts for the barrier.
+//! The `figures` binary runs one **sweep** per collective — the grid
+//! of message sizes × processor counts × implementations, measured in
+//! virtual time by the root crate's harness — and prints every panel
+//! that reads it: Figures 6–8 the absolute series, Figures 9–11 the
+//! `T_SRM/T_MPI` ratios, Figure 12 the barrier's processor-count
+//! sweep, then the headline bands. Nothing is cached; every number
+//! comes from the run that prints it.
 //!
-//! Environment:
-//! * `SRM_BENCH_FAST=1` — coarse grid (fewer sizes, fewer processor
-//!   counts, fewer iterations); used by CI and `cargo bench` smoke runs.
-//! * `SRM_BENCH_NO_CACHE=1` — ignore and overwrite the CSV cache.
+//! Environment: `SRM_BENCH_FAST=1` selects the coarse grid (fewer
+//! sizes, fewer processor counts, fewer iterations); CI uses it.
 
-use simnet::{MachineConfig, SimTime, Topology};
+use shmem::ShmBuffer;
+use simnet::{Ctx, MachineConfig, Rank, Sim, SimTime, Topology};
+use srm::{SrmComm, SrmTuning, SrmWorld};
 use srm_cluster::{measure, HarnessOpts, Impl, Op};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 /// One measured point of a sweep.
 #[derive(Clone, Debug)]
@@ -81,38 +82,35 @@ pub fn iters_for(len: usize) -> usize {
     }
 }
 
-/// Run (or load) the full sweep for `op`.
-pub fn sweep(op: Op) -> Sweep {
-    let cache = cache_path(op);
-    if std::env::var("SRM_BENCH_NO_CACHE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        let s = run_sweep(op);
-        save(&cache, &s);
-        return s;
-    }
-    if let Some(s) = load(&cache) {
-        eprintln!(
-            "[cache] loaded {} points from {}",
-            s.points.len(),
-            cache.display()
-        );
-        return s;
-    }
-    let s = run_sweep(op);
-    save(&cache, &s);
-    s
+/// Per-pair segment grid of the pairwise exchanges (alltoall,
+/// reduce_scatter) at `nprocs` ranks. Total traffic grows as
+/// `nprocs² × len`, so each rank's working set (`nprocs` segments each
+/// way) is capped at 512 KiB: large segments are only affordable at
+/// small process counts.
+pub fn pair_size_grid(nprocs: usize) -> Vec<usize> {
+    let all = if fast_mode() {
+        vec![8, 512, 4 << 10, 16 << 10]
+    } else {
+        vec![8, 128, 512, 2 << 10, 4 << 10, 16 << 10, 64 << 10]
+    };
+    all.into_iter()
+        .filter(|&l| nprocs * l <= 512 << 10)
+        .collect()
 }
 
-fn run_sweep(op: Op) -> Sweep {
+/// Measure `op` for every implementation on every [`proc_grid`]
+/// topology, at the sizes `sizes(nprocs)` yields for it. With
+/// `per_rank`, `len` is a per-rank segment, so a point moves
+/// `nprocs × len` bytes and its iteration count is sized by that.
+pub fn run_sweep(op: Op, sizes: impl Fn(usize) -> Vec<usize>, per_rank: bool) -> Sweep {
     let machine = MachineConfig::ibm_sp_colony();
     let mut points = Vec::new();
     for topo in proc_grid() {
-        for &len in &size_grid() {
+        let nprocs = topo.nprocs();
+        for len in sizes(nprocs) {
             for imp in Impl::ALL {
                 let opts = HarnessOpts {
-                    iters: iters_for(len),
+                    iters: iters_for(if per_rank { len * nprocs } else { len }),
                     ..Default::default()
                 };
                 let wall = std::time::Instant::now();
@@ -121,14 +119,14 @@ fn run_sweep(op: Op) -> Sweep {
                     "[run] {} {} P={} len={} -> {:.1}us (wall {:.1?})",
                     op.name(),
                     imp.name(),
-                    topo.nprocs(),
+                    nprocs,
                     len,
                     m.per_call.as_us(),
                     wall.elapsed()
                 );
                 points.push(Point {
                     imp,
-                    nprocs: topo.nprocs(),
+                    nprocs,
                     len,
                     us: m.per_call.as_us(),
                 });
@@ -295,52 +293,6 @@ pub fn print_ratio_panels(title: &str, s: &Sweep) {
     }
 }
 
-// ---------------------------------------------------------------------
-// CSV cache
-// ---------------------------------------------------------------------
-
-fn cache_path(op: Op) -> PathBuf {
-    let dir = PathBuf::from("bench_results");
-    let _ = std::fs::create_dir_all(&dir);
-    dir.join(format!(
-        "{}{}.csv",
-        op.name(),
-        if fast_mode() { "_fast" } else { "" }
-    ))
-}
-
-fn save(path: &PathBuf, s: &Sweep) {
-    let mut out = String::from("impl,nprocs,bytes,us\n");
-    for p in &s.points {
-        let _ = writeln!(out, "{},{},{},{}", p.imp.name(), p.nprocs, p.len, p.us);
-    }
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("[cache] could not write {}: {e}", path.display());
-    }
-}
-
-fn load(path: &PathBuf) -> Option<Sweep> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut points = Vec::new();
-    for line in text.lines().skip(1) {
-        let mut f = line.split(',');
-        let name = f.next()?;
-        let imp = match name {
-            "SRM" => Impl::Srm,
-            "IBM MPI" => Impl::IbmMpi,
-            "MPICH" => Impl::Mpich,
-            _ => return None,
-        };
-        points.push(Point {
-            imp,
-            nprocs: f.next()?.parse().ok()?,
-            len: f.next()?.parse().ok()?,
-            us: f.next()?.parse().ok()?,
-        });
-    }
-    Some(Sweep { points })
-}
-
 /// Improvement band `(min%, max%)` of SRM over `base` across a sweep:
 /// `100 - ratio`, i.e. "SRM outperforms by X%".
 pub fn improvement_band(s: &Sweep, base: Impl) -> (f64, f64) {
@@ -361,13 +313,44 @@ pub fn improvement_band(s: &Sweep, base: Impl) -> (f64, f64) {
     (lo, hi)
 }
 
-/// A tiny timing helper for ablation binaries: measure one config.
-pub fn one(imp: Impl, machine: MachineConfig, topo: Topology, op: Op, len: usize) -> SimTime {
-    let opts = HarnessOpts {
-        iters: iters_for(len),
-        ..Default::default()
-    };
-    measure(imp, machine, topo, op, len, opts).per_call
+/// Mean virtual time of one intra-node broadcast (`SrmComm::smp_bcast`,
+/// `smp_bcast_tree` or `smp_bcast_sistare`) of `len` bytes from rank 0
+/// on one 16-way node: every rank warms up with one call, then times
+/// `iters` more, from the last rank's start to the last rank's finish.
+/// With a `straggler` delay, rank 7 arrives that much late at every
+/// timed call.
+pub fn time_smp_bcast(
+    bcast: fn(&SrmComm, &Ctx, &ShmBuffer, usize, Rank),
+    len: usize,
+    iters: usize,
+    straggler: Option<SimTime>,
+) -> SimTime {
+    let topo = Topology::new(1, 16);
+    let mut sim = Sim::new(MachineConfig::ibm_sp_colony());
+    let world = SrmWorld::new(&mut sim, topo, SrmTuning::default());
+    let out = Arc::new(Mutex::new(Vec::new()));
+    for rank in 0..topo.nprocs() {
+        let comm = world.comm(rank);
+        let out = out.clone();
+        sim.spawn(format!("rank{rank}"), move |ctx| {
+            let buf = comm.alloc_buffer(len);
+            bcast(&comm, &ctx, &buf, len, 0);
+            let t0 = ctx.now();
+            for _ in 0..iters {
+                if let (7, Some(delay)) = (rank, straggler) {
+                    ctx.advance(delay);
+                }
+                bcast(&comm, &ctx, &buf, len, 0);
+            }
+            out.lock().unwrap().push((t0, ctx.now()));
+            comm.shutdown(&ctx);
+        });
+    }
+    sim.run().expect("run completes");
+    let samples = out.lock().unwrap();
+    let start = samples.iter().map(|s| s.0).max().unwrap();
+    let end = samples.iter().map(|s| s.1).max().unwrap();
+    SimTime::from_ps((end - start).as_ps() / iters as u64)
 }
 
 #[cfg(test)]
@@ -390,30 +373,43 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip() {
-        let s = Sweep {
-            points: vec![
-                Point {
-                    imp: Impl::Srm,
-                    nprocs: 16,
-                    len: 8,
-                    us: 12.5,
-                },
-                Point {
-                    imp: Impl::IbmMpi,
-                    nprocs: 16,
-                    len: 8,
-                    us: 30.0,
-                },
-            ],
-        };
-        let path = std::env::temp_dir().join("srm_bench_csv_roundtrip.csv");
-        save(&path, &s);
-        let loaded = load(&path).expect("loads back");
-        assert_eq!(loaded.points.len(), 2);
-        assert_eq!(loaded.get(Impl::Srm, 16, 8), Some(12.5));
-        assert_eq!(loaded.get(Impl::IbmMpi, 16, 8), Some(30.0));
-        let _ = std::fs::remove_file(path);
+    fn sweep_points_are_direct_measurements() {
+        let only_16 = |p: usize| if p == 16 { vec![8] } else { vec![] };
+        let s = run_sweep(Op::Allreduce, only_16, false);
+        assert_eq!(s.points.len(), Impl::ALL.len());
+        for imp in Impl::ALL {
+            let opts = HarnessOpts {
+                iters: iters_for(8),
+                ..Default::default()
+            };
+            let direct = measure(
+                imp,
+                MachineConfig::ibm_sp_colony(),
+                Topology::sp_16way(1),
+                Op::Allreduce,
+                8,
+                opts,
+            );
+            assert_eq!(s.get(imp, 16, 8), Some(direct.per_call.as_us()));
+        }
+    }
+
+    #[test]
+    fn size_grid_is_asked_per_topology() {
+        let asked = Mutex::new(Vec::new());
+        let s = run_sweep(
+            Op::Alltoall,
+            |p| {
+                asked.lock().unwrap().push(p);
+                vec![]
+            },
+            true,
+        );
+        assert!(s.points.is_empty());
+        let procs: Vec<usize> = proc_grid().iter().map(|t| t.nprocs()).collect();
+        assert_eq!(*asked.lock().unwrap(), procs);
+        assert!(pair_size_grid(16).contains(&(16 << 10)));
+        assert!(!pair_size_grid(256).contains(&(16 << 10)));
     }
 
     #[test]

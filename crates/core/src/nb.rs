@@ -80,6 +80,12 @@ use simnet::Ctx;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// Maximum nonblocking collectives outstanding per rank. Issuing one
+/// more blocks until *some* outstanding request completes (MPI allows
+/// implementations to throttle; bounding the queue bounds the
+/// interleaving executor's per-poll scan).
+const MAX_OUTSTANDING: usize = 8;
+
 /// Substrate class: the intra-node broadcast pair.
 const CL_SMP: u8 = 1 << 0;
 /// Substrate class: the landing pair and its flow-control counters.
@@ -426,11 +432,10 @@ impl PendingCall {
 impl SrmComm {
     /// Compile (or fetch) the plan for `key`, relocate the sequence
     /// bases, and park the call on the pending queue. Returns the
-    /// request id. When [`SrmTuning::max_outstanding`] (see
-    /// [`crate::SrmTuning`]) schedules are already pending, blocks
-    /// until *any* of them retires — not specifically the oldest, which
-    /// could force a long wait while a younger schedule was one step
-    /// from done.
+    /// request id. When [`MAX_OUTSTANDING`] schedules are already
+    /// pending, blocks until *any* of them retires — not specifically
+    /// the oldest, which could force a long wait while a younger
+    /// schedule was one step from done.
     pub(crate) fn nb_issue(
         &self,
         ctx: &Ctx,
@@ -439,9 +444,8 @@ impl SrmComm {
         reduce: Option<(DType, ReduceOp)>,
     ) -> u64 {
         ctx.perturb_straggler(self.rank());
-        let cap = self.tuning().max_outstanding;
-        if self.shared.pending.lock().expect("queue poisoned").len() >= cap {
-            self.nb_wait_below(ctx, cap);
+        if self.shared.pending.lock().expect("queue poisoned").len() >= MAX_OUTSTANDING {
+            self.nb_wait_below(ctx, MAX_OUTSTANDING);
         }
         // Aliasing guard: sharing one buffer between outstanding
         // schedules is only safe when *neither* side writes it (e.g. a

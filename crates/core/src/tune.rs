@@ -17,8 +17,8 @@
 //! Only knobs that steer *which schedule is compiled* may vary per
 //! shape (the [`TuneEntry`] fields). Knobs that size **shared buffers
 //! at world construction** — `smp_buf`, `reduce_chunk`,
-//! `plan_cache_cap`, `max_outstanding`, `tree`, `trace_steps` — stay
-//! world-global: consecutive collectives stride the same contribution
+//! `plan_cache_cap`, `tree`, `trace_steps` — stay world-global:
+//! consecutive collectives stride the same contribution
 //! and transfer buffers, and a per-shape stride would overlap live
 //! parity regions across calls. The world instead builds a **geometry
 //! envelope**: capacity-relevant decision knobs

@@ -104,11 +104,6 @@ pub struct SrmTuning {
     /// the protocol-level markers — the raw material for per-step
     /// timeline rendering. Off by default: it multiplies trace volume.
     pub trace_steps: bool,
-    /// Maximum nonblocking collectives outstanding per rank. Issuing
-    /// one more blocks until *some* outstanding request completes (MPI
-    /// allows implementations to throttle; bounding the queue bounds
-    /// the interleaving executor's per-poll scan).
-    pub max_outstanding: usize,
     /// Chunk size of the pairwise exchange streams
     /// (alltoall/alltoallv/reduce_scatter): each (src, dst) node pair
     /// moves its data in puts of at most this many bytes. Must not
@@ -150,7 +145,6 @@ impl Default for SrmTuning {
             interrupt_disable_max: 8 * 1024,
             plan_cache_cap: 32,
             trace_steps: false,
-            max_outstanding: 8,
             pairwise_chunk: 16 * 1024,
             pairwise_window: 2,
             allreduce_rs_min: usize::MAX,
