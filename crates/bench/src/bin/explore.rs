@@ -23,9 +23,11 @@
 //!   --route direct|staged  force every pairwise segment down one
 //!                          route (direct: pairwise_direct_min = 0,
 //!                          staged: usize::MAX)
-//!   --inject raise-race    fault injection: revert SpinFlag::raise to
-//!                          a non-monotone store; the sweep must CATCH
-//!                          it (exit 0 on detection, 1 on a miss)
+//!   --inject drain-skip    fault injection: omit the contribution
+//!                          drain guard, so a slot may refill a buffer
+//!                          side its consumer has not read; the sweep
+//!                          must CATCH it (exit 0 on detection, 1 on a
+//!                          miss)
 //!   --inject am-stall-race fault injection: the RMA dispatcher bumps
 //!                          the completion counter BEFORE a drawn
 //!                          AM-handler stall lands the payload, so a
@@ -94,7 +96,7 @@ fn parse_route(val: &str) -> Option<SegmentRoute> {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     eprintln!("usage: explore [--op OP] [--nodes N] [--tpn P] [--bytes B,..] [--impl I] [--machine M] [--iters K] [--tree T]");
-    eprintln!("       explore --seeds N [--start-seed S] [--nodes N] [--tpn P] [--max-ops K] [--no-subgroups] [--route direct|staged] [--inject raise-race|am-stall-race]");
+    eprintln!("       explore --seeds N [--start-seed S] [--nodes N] [--tpn P] [--max-ops K] [--no-subgroups] [--route direct|staged] [--inject drain-skip|am-stall-race]");
     std::process::exit(2)
 }
 
@@ -165,7 +167,7 @@ fn parse() -> Args {
                     Some(parse_route(val).unwrap_or_else(|| usage("bad --route (direct|staged)")))
             }
             "--inject" => {
-                if val != "raise-race" && val != "am-stall-race" {
+                if val != "drain-skip" && val != "am-stall-race" {
                     usage(&format!("unknown injection '{val}'"));
                 }
                 a.inject = Some(val.clone());
@@ -222,13 +224,12 @@ fn stress(a: &Args, count: u64) -> ! {
     }
     let injecting = a.inject.is_some();
     match a.inject.as_deref() {
-        Some("raise-race") => {
+        Some("drain-skip") => {
             println!(
-                "fault injection: SpinFlag::raise reverted to a non-monotone store, \
-                 contrib consumed-in-order guards omitted"
+                "fault injection: contribution drain guard omitted \
+                 (a slot may refill a side its consumer has not read)"
             );
-            shmem::set_nonmonotone_raise(true);
-            srm::set_skip_order_guards(true);
+            srm::set_skip_contrib_drain(true);
         }
         Some("am-stall-race") => {
             println!(

@@ -73,17 +73,35 @@ pub(crate) fn pair_of(comm: &SrmComm, sel: PairSel) -> &BufPair {
     }
 }
 
-pub(crate) fn flag_of(comm: &SrmComm, f: FlagRef) -> &SpinFlag {
+pub(crate) fn flag_of<'a>(comm: &'a SrmComm, bases: &[u64; SEQ_BASES], f: FlagRef) -> &'a SpinFlag {
     let board = comm.board();
     match f {
         FlagRef::Barrier { slot } => board.barrier_flags.flag(slot),
-        FlagRef::ContribReady { slot } => &board.contrib_ready[slot],
-        FlagRef::ContribDone { slot } => &board.contrib_done[slot],
-        FlagRef::XferReady => &board.xfer_ready,
-        FlagRef::XferDone => &board.xfer_done,
+        FlagRef::ContribReady { slot, side } => &board.contrib_ready[slot][side_of(bases, side)],
+        FlagRef::ContribDone { slot, side } => &board.contrib_done[slot][side_of(bases, side)],
+        FlagRef::XferReady { side } => &board.xfer_ready[side_of(bases, side)],
+        FlagRef::XferDone { side } => &board.xfer_done[side_of(bases, side)],
         FlagRef::TreeReady { slot } => &board.tree_ready[slot],
         FlagRef::TreeDone { slot } => &board.tree_done[slot],
     }
+}
+
+/// The contribution drain guard of my own slot on `side`: my last
+/// publish there (`0` if none yet) and the `ContribDone` flag that must
+/// reach it before the side may be refilled. Only I raise my READY
+/// flags, so reading my own is free (the line is in my cache).
+pub(crate) fn contrib_drain<'a>(
+    comm: &'a SrmComm,
+    bases: &[u64; SEQ_BASES],
+    side: Side,
+) -> (u64, &'a SpinFlag) {
+    let board = comm.board();
+    let s = side_of(bases, side);
+    let my = comm.cslot();
+    (
+        board.contrib_ready[my][s].peek(),
+        &board.contrib_done[my][s],
+    )
 }
 
 pub(crate) fn ctr_of<'a>(
@@ -390,29 +408,28 @@ impl SrmComm {
                     combine_from_buffer_costed(ctx, dtype, op, acc, src, so);
                 }
                 Step::FlagRaise { flag, val } => {
-                    // Cumulative sequence flags can be raised out of
-                    // order by a lagging consumer racing a catch-up
-                    // raise, so they use a max-store and never regress.
-                    // The flat-barrier flags are 0/1 toggles (the
-                    // release genuinely stores 0) and keep plain-store
-                    // semantics.
+                    // Every sequence flag has one raiser per outstanding
+                    // use, so raises arrive in order; only the flat
+                    // barrier's 0/1 toggles store a lower value.
+                    let f = flag_of(self, &bases, flag);
                     let v = val_of(&bases, val);
-                    if matches!(flag, FlagRef::Barrier { .. }) {
-                        flag_of(self, flag).set(ctx, v);
-                    } else {
-                        flag_of(self, flag).raise(ctx, v);
-                    }
+                    debug_assert!(
+                        matches!(flag, FlagRef::Barrier { .. }) || v >= f.peek(),
+                        "{flag:?} lowered from {} to {v}",
+                        f.peek()
+                    );
+                    f.set(ctx, v);
                 }
                 Step::FlagAdd { flag, n } => {
-                    flag_of(self, flag).fetch_add(ctx, n);
+                    flag_of(self, &bases, flag).fetch_add(ctx, n);
                 }
                 Step::FlagWaitEq { flag, val, label } => {
                     metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    flag_of(self, flag).wait_eq(ctx, label, val_of(&bases, val));
+                    flag_of(self, &bases, flag).wait_eq(ctx, label, val_of(&bases, val));
                 }
                 Step::FlagWaitGe { flag, val, label } => {
                     metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                    flag_of(self, flag).wait_ge(ctx, label, val_of(&bases, val));
+                    flag_of(self, &bases, flag).wait_ge(ctx, label, val_of(&bases, val));
                 }
                 Step::DrainWait {
                     flag,
@@ -424,7 +441,14 @@ impl SrmComm {
                     let cum = bases[base.index()] + rel;
                     if cum >= 2 {
                         metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
-                        flag_of(self, flag).wait_ge(ctx, label, (cum - 1) * scale);
+                        flag_of(self, &bases, flag).wait_ge(ctx, label, (cum - 1) * scale);
+                    }
+                }
+                Step::ContribDrained { side } => {
+                    let (last, done) = contrib_drain(self, &bases, side);
+                    if last > 0 {
+                        metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
+                        done.wait_ge(ctx, "contrib side drained", last);
                     }
                 }
                 Step::PairWaitFree { pair, side } => {
@@ -444,10 +468,6 @@ impl SrmComm {
                 Step::PairWaitDrained { pair, side } => {
                     metrics.engine_wait_steps.fetch_add(1, Ordering::Relaxed);
                     pair_of(self, pair).wait_drained(ctx, seq_of(&bases, side));
-                }
-                Step::PairCatchUp { pair, base, rel } => {
-                    let q_end = bases[base.index()] + rel;
-                    pair_of(self, pair).catch_up(ctx, q_end, self.cslot());
                 }
                 Step::RmaPut {
                     to,

@@ -37,12 +37,15 @@
 //! Because cross-node counters are parity-indexed against the
 //! [`SeqBase::Landing`] and [`SeqBase::Reduce`] cumulatives, every
 //! plan advances those two bases by the **same amount on every member
-//! of the communicator** (the maximum over nodes when per-node work
-//! differs, as in scatter on a group with uneven membership).
-//! Under-advancing a rank that skipped the work would desynchronize
-//! the parities; over-advancing is safe because the landing-pair flags
-//! are stateless and the contribution channels re-synchronize through
-//! `SrmComm::plan_contrib_catchup`.
+//! of the communicator** (for scatter on a group with uneven
+//! membership, the maximum piece count over nodes). Skipped uses cost
+//! nothing: only broadcast legs drive the landing pair, and they run
+//! the same chunk count on every member; the contribution and `xfer`
+//! channels keep one flag per buffer side, and a producer's drain
+//! guard looks only at its own last use of that side. Intra-node
+//! distribution (scatter, reduce_scatter, the pairwise wire) runs on
+//! the node's SMP pair, whose base is node-local and advances by the
+//! node's own piece count.
 
 use crate::embed::{self, TreeKind};
 use crate::plan::{
@@ -63,6 +66,52 @@ pub(crate) fn par(base: SeqBase, rel: u64) -> Side {
 
 pub(crate) fn poff(base: SeqBase, rel: u64, stride: usize) -> Off {
     Off::Parity { base, rel, stride }
+}
+
+// The master↔root `xfer` handoff. Its producer alternates between the
+// master and the root, but only root-node ranks advance
+// [`SeqBase::Xfer`] and every one of them runs every use, so the
+// channel is gap-free: each producer waits for the previous use of the
+// side to be drained before publishing use `xrel`.
+
+fn plan_xfer_drained(b: &mut PlanBuilder, xrel: u64) {
+    b.push(Step::DrainWait {
+        flag: FlagRef::XferDone {
+            side: par(SeqBase::Xfer, xrel),
+        },
+        base: SeqBase::Xfer,
+        rel: xrel,
+        scale: 1,
+        label: "xfer side drained",
+    });
+}
+
+fn plan_xfer_publish(b: &mut PlanBuilder, xrel: u64) {
+    b.push(Step::FlagRaise {
+        flag: FlagRef::XferReady {
+            side: par(SeqBase::Xfer, xrel),
+        },
+        val: seq(SeqBase::Xfer, xrel + 1),
+    });
+}
+
+fn plan_xfer_ready_wait(b: &mut PlanBuilder, xrel: u64, label: &'static str) {
+    b.push(Step::FlagWaitGe {
+        flag: FlagRef::XferReady {
+            side: par(SeqBase::Xfer, xrel),
+        },
+        val: seq(SeqBase::Xfer, xrel + 1),
+        label,
+    });
+}
+
+fn plan_xfer_done(b: &mut PlanBuilder, xrel: u64) {
+    b.push(Step::FlagRaise {
+        flag: FlagRef::XferDone {
+            side: par(SeqBase::Xfer, xrel),
+        },
+        val: seq(SeqBase::Xfer, xrel + 1),
+    });
 }
 
 /// The inter-node tree over the communicator's **group-node indices**
@@ -116,43 +165,6 @@ impl GroupTree {
 }
 
 impl SrmComm {
-    /// Re-synchronize my contribution channel with [`SeqBase::Reduce`].
-    ///
-    /// Invariant of the contrib channels: after every operation that
-    /// advances the reduce cumulative, **every** slot's `ContribReady`
-    /// and `ContribDone` equal the new cumulative. Contributing slots
-    /// get there through the protocol itself (the contributor raises
-    /// READY, its consumer raises DONE); a slot whose channel went
-    /// unused this operation — the consumer of a reduce tree, a gather
-    /// root, every rank of a scatter — raises both itself so a later
-    /// operation's [`Step::DrainWait`] sees a fully drained channel.
-    ///
-    /// `ContribDone` is a statement about the *previous* operation's
-    /// consumer, so the owner must not raise it past reads that have
-    /// not happened yet: a gather's relaying master can lag a full
-    /// operation behind (it blocks on the root's address AM before it
-    /// reads), and an unchecked raise would let the owner's next
-    /// contribution overwrite the unread parity slot. The catch-up
-    /// therefore first waits until the channel is drained through this
-    /// operation's entry cumulative. Raising READY needs no such wait —
-    /// only the owner itself ever raises it, in program order.
-    pub(crate) fn plan_contrib_catchup(&self, b: &mut PlanBuilder, rel_end: u64) {
-        let my = self.cslot();
-        b.push(Step::FlagWaitGe {
-            flag: FlagRef::ContribDone { slot: my },
-            val: seq(SeqBase::Reduce, b.rel(SeqBase::Reduce)),
-            label: "contrib drained before catch-up",
-        });
-        b.push(Step::FlagRaise {
-            flag: FlagRef::ContribReady { slot: my },
-            val: seq(SeqBase::Reduce, rel_end),
-        });
-        b.push(Step::FlagRaise {
-            flag: FlagRef::ContribDone { slot: my },
-            val: seq(SeqBase::Reduce, rel_end),
-        });
-    }
-
     /// World rank of communicator rank `c`.
     fn cworld(&self, c: usize) -> Rank {
         self.group().ranks()[c]
@@ -596,13 +608,7 @@ impl SrmComm {
                     // Root is a non-master task on this node: hand the
                     // chunk over through the xfer buffer.
                     let xrel = xrel0 + k as u64;
-                    b.push(Step::DrainWait {
-                        flag: FlagRef::XferDone,
-                        base: SeqBase::Xfer,
-                        rel: xrel,
-                        scale: 1,
-                        label: "xfer side drained",
-                    });
+                    plan_xfer_drained(b, xrel);
                     b.push(Step::ShmCopy {
                         src: BufRef::Acc,
                         src_off: Off::Lit(0),
@@ -611,18 +617,11 @@ impl SrmComm {
                         len: clen,
                         cost: CopyCost::Free,
                     });
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::XferReady,
-                        val: seq(SeqBase::Xfer, xrel + 1),
-                    });
+                    plan_xfer_publish(b, xrel);
                 }
             } else if xfer_case && self.crank() == root {
                 let xrel = xrel0 + k as u64;
-                b.push(Step::FlagWaitGe {
-                    flag: FlagRef::XferReady,
-                    val: seq(SeqBase::Xfer, xrel + 1),
-                    label: "xfer chunk ready",
-                });
+                plan_xfer_ready_wait(b, xrel, "xfer chunk ready");
                 b.push(Step::ShmCopy {
                     src: BufRef::Xfer,
                     src_off: poff(SeqBase::Xfer, xrel, chunk),
@@ -631,16 +630,8 @@ impl SrmComm {
                     len: clen,
                     cost: CopyCost::Read(1),
                 });
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::XferDone,
-                    val: seq(SeqBase::Xfer, xrel + 1),
-                });
+                plan_xfer_done(b, xrel);
             }
-        }
-        if self.c_is_master() {
-            // The tree root's own contribution channel went unused
-            // (slot 0's buffer stages puts; its flags carry no data).
-            self.plan_contrib_catchup(b, rel0 + chunks as u64);
         }
         b.advance(SeqBase::Reduce, chunks as u64);
         if xfer_case {
@@ -851,10 +842,6 @@ impl SrmComm {
                 cost: CopyCost::Free,
             });
         }
-        if self.c_is_master() {
-            // The tree root's own contribution channel went unused.
-            self.plan_contrib_catchup(b, rel + 1);
-        }
         b.advance(SeqBase::Reduce, 1);
         self.plan_smp_bcast(b, len, self.cmaster_of(self.cnode()));
     }
@@ -1046,10 +1033,6 @@ impl SrmComm {
                 });
             }
         }
-        if self.c_is_master() {
-            // The tree root's own contribution channel went unused.
-            self.plan_contrib_catchup(b, rel0 + chunks as u64);
-        }
         b.advance(SeqBase::Reduce, chunks as u64);
         b.advance(SeqBase::Landing, chunks as u64);
     }
@@ -1147,30 +1130,17 @@ impl SrmComm {
 
         // Relay my segment chunk-by-chunk through my contribution
         // buffer (producer half of the reduce-leaf pattern).
-        let contribute = |b: &mut PlanBuilder, comm: &SrmComm| {
+        let contribute = |b: &mut PlanBuilder| {
             for k in 0..chunks {
-                let rel = rel0 + k as u64;
                 let koff = k * chunk;
-                let clen = chunk.min(len - koff);
-                b.push(Step::DrainWait {
-                    flag: FlagRef::ContribDone { slot: my },
-                    base: SeqBase::Reduce,
-                    rel,
-                    scale: 1,
-                    label: "contrib side drained",
-                });
-                b.push(Step::ShmCopy {
-                    src: BufRef::User,
-                    src_off: Off::Lit(comm.crank() * len + koff),
-                    dst: BufRef::Contrib { slot: my },
-                    dst_off: poff(SeqBase::Reduce, rel, chunk),
-                    len: clen,
-                    cost: CopyCost::Write(write_streams),
-                });
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::ContribReady { slot: my },
-                    val: seq(SeqBase::Reduce, rel + 1),
-                });
+                self.plan_contrib_publish(
+                    b,
+                    rel0 + k as u64,
+                    BufRef::User,
+                    Off::Lit(self.crank() * len + koff),
+                    chunk.min(len - koff),
+                    CopyCost::Write(write_streams),
+                );
             }
         };
 
@@ -1201,11 +1171,7 @@ impl SrmComm {
                     let rel = rel0 + k as u64;
                     let koff = k * chunk;
                     let clen = chunk.min(len - koff);
-                    b.push(Step::FlagWaitGe {
-                        flag: FlagRef::ContribReady { slot: s },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                        label: "gather contribution ready",
-                    });
+                    self.plan_contrib_wait(b, s, rel, "gather contribution ready");
                     b.push(Step::ShmCopy {
                         src: BufRef::Contrib { slot: s },
                         src_off: poff(SeqBase::Reduce, rel, chunk),
@@ -1214,35 +1180,14 @@ impl SrmComm {
                         len: clen,
                         cost: CopyCost::Read(1),
                     });
-                    if k == 0 && !crate::plan::skip_order_guards() {
-                        // Keep DONE skip-free across collectives: the
-                        // previous op's consumer of this channel may be
-                        // a different rank that hasn't drained yet (see
-                        // `plan_smp_reduce_chunk`).
-                        b.push(Step::FlagWaitGe {
-                            flag: FlagRef::ContribDone { slot: s },
-                            val: seq(SeqBase::Reduce, rel0),
-                            label: "contrib consumed in order",
-                        });
-                    }
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::ContribDone { slot: s },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                    });
+                    self.plan_contrib_done(b, s, rel);
                 }
             }
             // Wait for every remote piece to land in my buffer.
             if multi {
                 if master_waits {
-                    b.push(Step::FlagWaitGe {
-                        flag: FlagRef::XferReady,
-                        val: seq(SeqBase::Xfer, xrel0 + 1),
-                        label: "gather remote pieces landed",
-                    });
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::XferDone,
-                        val: seq(SeqBase::Xfer, xrel0 + 1),
-                    });
+                    plan_xfer_ready_wait(b, xrel0, "gather remote pieces landed");
+                    plan_xfer_done(b, xrel0);
                 } else {
                     b.push(Step::CounterWait {
                         ctr: CtrRef::LargeData { node: root_node },
@@ -1251,8 +1196,6 @@ impl SrmComm {
                 }
                 b.push(Step::Trace("gather:done"));
             }
-            // The root's own contribution channel went unused.
-            self.plan_contrib_catchup(b, rel0 + chunks as u64);
         } else if my_node == root_node {
             // Root-node master (when it is not the root) forwards the
             // root's handle before contributing its own segment.
@@ -1268,7 +1211,7 @@ impl SrmComm {
                     }
                 }
             }
-            contribute(b, self);
+            contribute(b);
             if master_waits && my == 0 {
                 // I am the target of the remote puts: absorb them all,
                 // then wake the root through the xfer flags.
@@ -1276,10 +1219,8 @@ impl SrmComm {
                     ctr: CtrRef::LargeData { node: root_node },
                     n: remote_pieces(),
                 });
-                b.push(Step::FlagRaise {
-                    flag: FlagRef::XferReady,
-                    val: seq(SeqBase::Xfer, xrel0 + 1),
-                });
+                plan_xfer_drained(b, xrel0);
+                plan_xfer_publish(b, xrel0);
             }
         } else if my == 0 {
             // Remote master: learn the root's buffer, put my own
@@ -1304,11 +1245,7 @@ impl SrmComm {
                     let rel = rel0 + k as u64;
                     let koff = k * chunk;
                     let clen = chunk.min(len - koff);
-                    b.push(Step::FlagWaitGe {
-                        flag: FlagRef::ContribReady { slot: s },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                        label: "gather contribution ready",
-                    });
+                    self.plan_contrib_wait(b, s, rel, "gather contribution ready");
                     b.push(Step::Trace("gather:relay"));
                     b.push(Step::RmaPut {
                         to: self.cmaster_of(root_node),
@@ -1319,25 +1256,11 @@ impl SrmComm {
                         len: clen,
                         ctr: Some(CtrRef::LargeData { node: root_node }),
                     });
-                    if k == 0 && !crate::plan::skip_order_guards() {
-                        // DONE must stay skip-free across collectives
-                        // (see `plan_smp_reduce_chunk`).
-                        b.push(Step::FlagWaitGe {
-                            flag: FlagRef::ContribDone { slot: s },
-                            val: seq(SeqBase::Reduce, rel0),
-                            label: "contrib consumed in order",
-                        });
-                    }
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::ContribDone { slot: s },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                    });
+                    self.plan_contrib_done(b, s, rel);
                 }
             }
-            // My own segment bypassed my contribution channel.
-            self.plan_contrib_catchup(b, rel0 + chunks as u64);
         } else {
-            contribute(b, self);
+            contribute(b);
         }
         b.advance(SeqBase::Reduce, chunks as u64);
         if master_waits && my_node == root_node {
@@ -1391,7 +1314,7 @@ impl SrmComm {
     /// Protocol: the root streams each destination node's block in
     /// pieces (see [`SrmComm::scatter_pieces`]) through the reduce
     /// landing channels (reusing their credit protocol unchanged); the
-    /// receiving master relays each piece into the node's landing pair,
+    /// receiving master relays each piece into the node's SMP pair,
     /// where every slot copies out just the overlap with its own
     /// segment. A root that is not its node's master hands pieces to
     /// the master through the `xfer` buffer, exactly like the reduce
@@ -1400,8 +1323,7 @@ impl SrmComm {
         if len == 0 || self.csize() == 1 {
             return;
         }
-        let t = self.tuning();
-        let chunk = t.reduce_chunk.min(t.small_large_switch);
+        let chunk = self.tuning().reduce_chunk;
         let p = self.cslots_here();
         let nodes = self.cnodes();
         let my_node = self.cnode();
@@ -1410,13 +1332,14 @@ impl SrmComm {
         let multi = self.cmulti();
         let xfer_relay = multi && root_gslot != 0;
         let rel0 = b.rel(SeqBase::Reduce);
-        let lrel0 = b.rel(SeqBase::Landing);
+        let srel0 = b.rel(SeqBase::Smp);
         let xrel0 = b.rel(SeqBase::Xfer);
         let read_streams = p.saturating_sub(1).max(1);
+        let mine = self.scatter_pieces(my_node, len, chunk);
         // Uniform advance: per-node piece counts differ on uneven
-        // groups, but the Reduce/Landing cumulatives must advance
-        // identically on every member (see the module doc), so all
-        // ranks advance by the maximum.
+        // groups, but the Reduce cumulative indexes cross-node counters
+        // and must advance identically on every member (see the module
+        // doc), so all ranks advance by the maximum.
         let max_pieces = (0..nodes)
             .map(|g| self.scatter_pieces(g, len, chunk).len())
             .max()
@@ -1428,7 +1351,7 @@ impl SrmComm {
             .sum();
 
         // Overlap of a piece `(block_off, plen)` with slot `s`'s
-        // segment, as `(landing_off, user_off, olen)`.
+        // segment, as `(piece_off, user_off, olen)`.
         let overlap = |boff: usize, plen: usize, s: usize| -> Option<(usize, usize, usize)> {
             let lo = boff.max(s * len);
             let hi = (boff + plen).min((s + 1) * len);
@@ -1440,24 +1363,19 @@ impl SrmComm {
                 )
             })
         };
-        // Reader side of the landing-pair distribution of my node's
-        // block (every non-publishing slot must release every piece).
+        // Reader side of the SMP-pair distribution of my node's block
+        // (every non-publishing slot must release every piece).
         let read_block = |b: &mut PlanBuilder| {
-            for (j, &(_, boff, plen)) in self.scatter_pieces(my_node, len, chunk).iter().enumerate()
-            {
-                let lrel = lrel0 + j as u64;
-                let lside = par(SeqBase::Landing, lrel);
+            for (j, &(_, boff, plen)) in mine.iter().enumerate() {
+                let side = par(SeqBase::Smp, srel0 + j as u64);
                 b.push(Step::PairWaitPublished {
-                    pair: PairSel::Landing,
-                    side: lside,
+                    pair: PairSel::Smp,
+                    side,
                 });
-                if let Some((loff, uoff, olen)) = overlap(boff, plen, my) {
+                if let Some((soff, uoff, olen)) = overlap(boff, plen, my) {
                     b.push(Step::ShmCopy {
-                        src: BufRef::Landing {
-                            node: my_node,
-                            side: lside,
-                        },
-                        src_off: Off::Lit(loff),
+                        src: BufRef::Smp { side },
+                        src_off: Off::Lit(soff),
                         dst: BufRef::User,
                         dst_off: Off::Lit(uoff),
                         len: olen,
@@ -1465,10 +1383,30 @@ impl SrmComm {
                     });
                 }
                 b.push(Step::PairRelease {
-                    pair: PairSel::Landing,
-                    side: lside,
+                    pair: PairSel::Smp,
+                    side,
                 });
             }
+        };
+        // Writer side: publish piece `j` of my node's block from `src`.
+        let write_piece = |b: &mut PlanBuilder, j: usize, src: BufRef, src_off: usize, plen| {
+            let side = par(SeqBase::Smp, srel0 + j as u64);
+            b.push(Step::PairWaitFree {
+                pair: PairSel::Smp,
+                side,
+            });
+            b.push(Step::ShmCopy {
+                src,
+                src_off: Off::Lit(src_off),
+                dst: BufRef::Smp { side },
+                dst_off: Off::Lit(0),
+                len: plen,
+                cost: CopyCost::Write(1),
+            });
+            b.push(Step::PairPublish {
+                pair: PairSel::Smp,
+                side,
+            });
         };
 
         if self.crank() == root {
@@ -1512,13 +1450,7 @@ impl SrmComm {
                             });
                         } else {
                             let xrel = xrel0 + xi;
-                            b.push(Step::DrainWait {
-                                flag: FlagRef::XferDone,
-                                base: SeqBase::Xfer,
-                                rel: xrel,
-                                scale: 1,
-                                label: "xfer side drained",
-                            });
+                            plan_xfer_drained(b, xrel);
                             b.push(Step::ShmCopy {
                                 src: BufRef::User,
                                 src_off: Off::Lit(roff),
@@ -1527,41 +1459,16 @@ impl SrmComm {
                                 len: plen,
                                 cost: CopyCost::Free,
                             });
-                            b.push(Step::FlagRaise {
-                                flag: FlagRef::XferReady,
-                                val: seq(SeqBase::Xfer, xrel + 1),
-                            });
+                            plan_xfer_publish(b, xrel);
                             xi += 1;
                         }
                     }
                 }
             }
-            // Distribute my own node's block through the landing pair.
+            // Distribute my own node's block through the SMP pair.
             if p > 1 {
-                for (j, &(roff, _, plen)) in
-                    self.scatter_pieces(my_node, len, chunk).iter().enumerate()
-                {
-                    let lrel = lrel0 + j as u64;
-                    let lside = par(SeqBase::Landing, lrel);
-                    b.push(Step::PairWaitFree {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::User,
-                        src_off: Off::Lit(roff),
-                        dst: BufRef::Landing {
-                            node: my_node,
-                            side: lside,
-                        },
-                        dst_off: Off::Lit(0),
-                        len: plen,
-                        cost: CopyCost::Write(1),
-                    });
-                    b.push(Step::PairPublish {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
+                for (j, &(roff, _, plen)) in mine.iter().enumerate() {
+                    write_piece(b, j, BufRef::User, roff, plen);
                 }
             }
         } else if my_node == root_node {
@@ -1576,11 +1483,7 @@ impl SrmComm {
                     {
                         let rel = rel0 + j as u64;
                         let xrel = xrel0 + xi;
-                        b.push(Step::FlagWaitGe {
-                            flag: FlagRef::XferReady,
-                            val: seq(SeqBase::Xfer, xrel + 1),
-                            label: "xfer chunk ready",
-                        });
+                        plan_xfer_ready_wait(b, xrel, "xfer chunk ready");
                         b.push(Step::CounterWait {
                             ctr: CtrRef::ReduceFree {
                                 node: root_node,
@@ -1608,10 +1511,7 @@ impl SrmComm {
                         });
                         // The put snapshots the source synchronously, so
                         // the side is reusable as soon as it is issued.
-                        b.push(Step::FlagRaise {
-                            flag: FlagRef::XferDone,
-                            val: seq(SeqBase::Xfer, xrel + 1),
-                        });
+                        plan_xfer_done(b, xrel);
                         xi += 1;
                     }
                 }
@@ -1619,12 +1519,22 @@ impl SrmComm {
             read_block(b);
         } else if my == 0 {
             // Destination-node master: land each piece, republish it on
-            // the landing pair, return the credit, take my overlap.
-            for (j, &(_, boff, plen)) in self.scatter_pieces(my_node, len, chunk).iter().enumerate()
-            {
+            // the SMP pair, return the credit, take my overlap.
+            for (j, &(_, boff, plen)) in mine.iter().enumerate() {
                 let rel = rel0 + j as u64;
-                let lrel = lrel0 + j as u64;
-                let lside = par(SeqBase::Landing, lrel);
+                let landing = BufRef::ReduceLanding {
+                    node: my_node,
+                    src: root_node,
+                    rel,
+                };
+                let credit = Step::CounterPut {
+                    to: self.cmaster_of(root_node),
+                    ctr: CtrRef::ReduceFree {
+                        node: root_node,
+                        dst: my_node,
+                        rel,
+                    },
+                };
                 b.push(Step::CounterWait {
                     ctr: CtrRef::ReduceData {
                         node: my_node,
@@ -1635,44 +1545,14 @@ impl SrmComm {
                 });
                 b.push(Step::Trace("scatter:chunk-in"));
                 if p > 1 {
-                    b.push(Step::PairWaitFree {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::ReduceLanding {
-                            node: my_node,
-                            src: root_node,
-                            rel,
-                        },
-                        src_off: Off::Lit(0),
-                        dst: BufRef::Landing {
-                            node: my_node,
-                            side: lside,
-                        },
-                        dst_off: Off::Lit(0),
-                        len: plen,
-                        cost: CopyCost::Write(1),
-                    });
-                    b.push(Step::PairPublish {
-                        pair: PairSel::Landing,
-                        side: lside,
-                    });
-                    b.push(Step::CounterPut {
-                        to: self.cmaster_of(root_node),
-                        ctr: CtrRef::ReduceFree {
-                            node: root_node,
-                            dst: my_node,
-                            rel,
-                        },
-                    });
-                    if let Some((loff, uoff, olen)) = overlap(boff, plen, my) {
+                    write_piece(b, j, landing, 0, plen);
+                    b.push(credit);
+                    if let Some((soff, uoff, olen)) = overlap(boff, plen, my) {
                         b.push(Step::ShmCopy {
-                            src: BufRef::Landing {
-                                node: my_node,
-                                side: lside,
+                            src: BufRef::Smp {
+                                side: par(SeqBase::Smp, srel0 + j as u64),
                             },
-                            src_off: Off::Lit(loff),
+                            src_off: Off::Lit(soff),
                             dst: BufRef::User,
                             dst_off: Off::Lit(uoff),
                             len: olen,
@@ -1681,52 +1561,24 @@ impl SrmComm {
                     }
                 } else {
                     b.push(Step::ShmCopy {
-                        src: BufRef::ReduceLanding {
-                            node: my_node,
-                            src: root_node,
-                            rel,
-                        },
+                        src: landing,
                         src_off: Off::Lit(0),
                         dst: BufRef::User,
                         dst_off: Off::Lit(self.crank() * len + boff),
                         len: plen,
                         cost: CopyCost::Read(1),
                     });
-                    b.push(Step::CounterPut {
-                        to: self.cmaster_of(root_node),
-                        ctr: CtrRef::ReduceFree {
-                            node: root_node,
-                            dst: my_node,
-                            rel,
-                        },
-                    });
+                    b.push(credit);
                 }
             }
         } else {
             read_block(b);
         }
 
-        // Scatter advances the reduce cumulative (it borrows the
-        // reduce landing channels) but no contribution channel carries
-        // data — every rank re-synchronizes its own.
-        self.plan_contrib_catchup(b, rel0 + max_pieces as u64);
-        // My node's landing pair carried only its own block's pieces
-        // (none on a single-slot node); account the skipped uses of the
-        // group-wide advance as released.
-        let mine = if p > 1 {
-            self.scatter_pieces(my_node, len, chunk).len()
-        } else {
-            0
-        };
-        if mine < max_pieces {
-            b.push(Step::PairCatchUp {
-                pair: PairSel::Landing,
-                base: SeqBase::Landing,
-                rel: lrel0 + max_pieces as u64,
-            });
-        }
         b.advance(SeqBase::Reduce, max_pieces as u64);
-        b.advance(SeqBase::Landing, max_pieces as u64);
+        if p > 1 {
+            b.advance(SeqBase::Smp, mine.len() as u64);
+        }
         if xfer_relay && my_node == root_node {
             b.advance(SeqBase::Xfer, xfer_total);
         }

@@ -98,7 +98,7 @@ pub mod world;
 pub use embed::{Embedding, GroupEmbedding, TreeKind};
 pub use model::SrmModel;
 pub use pairwise::PairwiseState;
-pub use plan::{set_skip_order_guards, Plan, PlanBuilder, PlanCache, PlanKey, PlanShape, Step};
+pub use plan::{set_skip_contrib_drain, Plan, PlanBuilder, PlanCache, PlanKey, PlanShape, Step};
 pub use route::{RouteClass, SegmentRoute};
 pub use tune::{TableParseError, TuneEntry, TuneEntryError, TuneKey, TuneOp, TuneTable};
 pub use tuning::{SrmTuning, TuningError};

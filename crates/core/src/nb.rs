@@ -35,7 +35,7 @@
 //! # Ordering classes
 //!
 //! Schedules synchronize through shared substrate state — double-buffer
-//! READY flags, cumulative contribution flags, barrier flags, LAPI
+//! READY flags, per-side contribution flags, barrier flags, LAPI
 //! counters, address mailboxes. All of these encode *per-substrate
 //! FIFO* assumptions: a binary pair flag does not say which operation
 //! published it, so a reader parked in operation 1 could consume
@@ -69,9 +69,9 @@
 //! [`Plan::advances`] totals are applied to the live cells immediately,
 //! so a later call (blocking or not) samples bases as if every earlier
 //! call had already finished — exactly the invariant blocking execution
-//! maintains (see DESIGN.md, "Catch-up under suspension").
+//! maintains (see DESIGN.md §10.2, "Sequence-base relocation").
 
-use crate::engine::{ctr_of, flag_of, pair_of, val_of, CallState};
+use crate::engine::{contrib_drain, ctr_of, flag_of, pair_of, val_of, CallState};
 use crate::plan::{BufRef, CtrRef, FlagRef, PairSel, Plan, PlanKey, Step};
 use crate::world::SrmComm;
 use collops::{DType, ReduceOp};
@@ -113,7 +113,7 @@ fn flag_class(f: FlagRef) -> u8 {
     match f {
         FlagRef::Barrier { .. } => CL_BARRIER,
         FlagRef::ContribReady { .. } | FlagRef::ContribDone { .. } => CL_REDUCE,
-        FlagRef::XferReady | FlagRef::XferDone => CL_XFER,
+        FlagRef::XferReady { .. } | FlagRef::XferDone { .. } => CL_XFER,
         FlagRef::TreeReady { .. } | FlagRef::TreeDone { .. } => CL_TREE,
     }
 }
@@ -180,12 +180,12 @@ pub(crate) fn step_classes(step: &Step) -> u8 {
         | Step::FlagWaitEq { flag, .. }
         | Step::FlagWaitGe { flag, .. }
         | Step::DrainWait { flag, .. } => flag_class(flag),
+        Step::ContribDrained { .. } => CL_REDUCE,
         Step::PairWaitFree { pair, .. }
         | Step::PairPublish { pair, .. }
         | Step::PairWaitPublished { pair, .. }
         | Step::PairRelease { pair, .. }
-        | Step::PairWaitDrained { pair, .. }
-        | Step::PairCatchUp { pair, .. } => pair_class(pair),
+        | Step::PairWaitDrained { pair, .. } => pair_class(pair),
         Step::RmaPut { src, dst, ctr, .. } => {
             buf_class(src) | buf_class(dst) | ctr.map_or(0, ctr_class)
         }
@@ -213,6 +213,7 @@ fn step_blocks(step: &Step) -> bool {
         Step::FlagWaitEq { .. }
             | Step::FlagWaitGe { .. }
             | Step::DrainWait { .. }
+            | Step::ContribDrained { .. }
             | Step::PairWaitFree { .. }
             | Step::PairWaitPublished { .. }
             | Step::PairWaitDrained { .. }
@@ -233,8 +234,12 @@ fn step_blocks(step: &Step) -> bool {
 fn step_ready(comm: &SrmComm, st: &CallState, step: &Step) -> bool {
     let bases = &st.bases;
     match *step {
-        Step::FlagWaitEq { flag, val, .. } => flag_of(comm, flag).peek() == val_of(bases, val),
-        Step::FlagWaitGe { flag, val, .. } => flag_of(comm, flag).peek() >= val_of(bases, val),
+        Step::FlagWaitEq { flag, val, .. } => {
+            flag_of(comm, bases, flag).peek() == val_of(bases, val)
+        }
+        Step::FlagWaitGe { flag, val, .. } => {
+            flag_of(comm, bases, flag).peek() >= val_of(bases, val)
+        }
         Step::DrainWait {
             flag,
             base,
@@ -243,7 +248,11 @@ fn step_ready(comm: &SrmComm, st: &CallState, step: &Step) -> bool {
             ..
         } => {
             let cum = bases[base.index()] + rel;
-            cum < 2 || flag_of(comm, flag).peek() >= (cum - 1) * scale
+            cum < 2 || flag_of(comm, bases, flag).peek() >= (cum - 1) * scale
+        }
+        Step::ContribDrained { side } => {
+            let (last, done) = contrib_drain(comm, bases, side);
+            done.peek() >= last
         }
         Step::PairWaitFree { pair, side } => {
             let q = crate::engine::seq_of(bases, side);
@@ -281,11 +290,12 @@ fn step_wait_keys(comm: &SrmComm, st: &CallState, step: &Step, out: &mut Vec<u64
     let bases = &st.bases;
     match *step {
         Step::FlagWaitEq { flag, .. } | Step::FlagWaitGe { flag, .. } => {
-            out.push(flag_of(comm, flag).wait_key())
+            out.push(flag_of(comm, bases, flag).wait_key())
         }
         Step::DrainWait {
             flag, base, rel, ..
-        } if bases[base.index()] + rel >= 2 => out.push(flag_of(comm, flag).wait_key()),
+        } if bases[base.index()] + rel >= 2 => out.push(flag_of(comm, bases, flag).wait_key()),
+        Step::ContribDrained { side } => out.push(contrib_drain(comm, bases, side).1.wait_key()),
         Step::PairWaitFree { pair, side } | Step::PairWaitDrained { pair, side } => {
             let bank = pair_of(comm, pair).released(crate::engine::side_of(bases, side));
             for i in 0..bank.len() {
@@ -472,7 +482,7 @@ impl SrmComm {
         // Sequence-base relocation: sample the cells for *this* call,
         // then advance them by the plan's totals immediately, so every
         // later call samples bases as if this one had already run to
-        // completion (the catch-up invariant blocking execution keeps).
+        // completion, exactly as blocking execution leaves them.
         // The cells are per (rank, communicator) — a schedule on one
         // communicator never shifts another communicator's bases.
         let bases = self.sample_bases();

@@ -66,23 +66,25 @@
 //!
 //! Every rank walks the same global round sequence; each blocking step
 //! of round `k` waits only on events of rounds `< k` (credit of piece
-//! `k - window`, contribution drain of the previous piece, landing-pair
+//! `k - window`, contribution drain of the previous piece, SMP-pair
 //! release two pieces back) or on same-round predecessors that are
 //! unconditionally reachable. Induction over the round order gives
 //! progress for any `window ≥ 1`.
 //!
 //! Non-master slots route their outbound data to the master through the
-//! per-slot contribution buffers — the same contributor/consumer flag
-//! protocol the reduce tree uses, which is what keeps the node-wide
-//! contribution-channel invariant (`plan_contrib_catchup`, DESIGN.md
-//! §10.5) intact. Because the Reduce and Landing sequence bases index
-//! cross-node buffer parities, their advances are computed as maxima
-//! over the *whole group* and applied on every member, even members
-//! whose own node moved less (DESIGN.md §12.3).
+//! per-slot contribution buffers — the same per-side contributor/consumer
+//! flag protocol the reduce tree uses (DESIGN.md §9.3). Because the
+//! Reduce sequence base also indexes cross-node buffer parities, its
+//! advance is the maximum over the *whole group* and applies on every
+//! member, even members whose own node staged less; the unused uses
+//! cost nothing, since a slot's drain guard looks only at its own last
+//! publish. Inbound pieces are distributed through the node's SMP pair,
+//! whose node-local base advances by the node's own piece count, so the
+//! landing pair stays reserved for broadcast puts.
 
-use crate::inter::{par, poff, seq};
+use crate::inter::{par, poff};
 use crate::plan::{
-    BufRef, CopyCost, CtrRef, FlagRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase, Step, Val,
+    BufRef, CopyCost, CtrRef, HandleSrc, Off, PairSel, PlanBuilder, SeqBase, Side, Step, Val,
 };
 use crate::route::{RouteClass, SegmentRoute};
 use crate::tuning::SrmTuning;
@@ -304,7 +306,7 @@ impl SrmComm {
     /// windowed round-robin over every `(src, dst)` group-node stream
     /// produced by `streams`, with non-master outbound data staged
     /// through the contribution buffers and inbound pieces republished
-    /// on the landing pair. Caller handles the intra-node exchange.
+    /// on the SMP pair. Caller handles the intra-node exchange.
     fn plan_pairwise_wire<F>(&self, b: &mut PlanBuilder, streams: F)
     where
         F: Fn(NodeId, NodeId) -> Vec<WirePiece>,
@@ -331,21 +333,14 @@ impl SrmComm {
         let local_multi = p > 1;
         let read_streams = p.saturating_sub(1).max(1);
 
-        // Stream lengths and per-slot staging totals of the whole
-        // group: the sequence-base advances must be uniform across
-        // every communicator member (cross-node protocols resolve
-        // buffer parities against their own bases), so every rank
-        // advances by the group-wide maxima even when its own node
-        // moved less.
-        let mut inbound = vec![0u64; nodes];
+        // Per-slot staging totals of the whole group: the Reduce base
+        // indexes cross-node counters, so its advance must be uniform
+        // across every communicator member and every rank advances by
+        // the group-wide maximum even when its own node staged less.
         let mut staged: Vec<Vec<u64>> = (0..nodes).map(|g| vec![0u64; self.cslots_on(g)]).collect();
         for (s, stage) in staged.iter_mut().enumerate() {
-            for (d, inb) in inbound.iter_mut().enumerate() {
-                if s == d {
-                    continue;
-                }
+            for d in (0..nodes).filter(|&d| d != s) {
                 for piece in streams(s, d) {
-                    *inb += 1;
                     if piece.src_slot != 0 {
                         stage[piece.src_slot] += 1;
                     }
@@ -353,10 +348,9 @@ impl SrmComm {
             }
         }
         let r_adv = staged.iter().flatten().copied().max().unwrap_or(0);
-        let g_land = inbound.iter().copied().max().unwrap_or(0);
 
         let rel0 = b.rel(SeqBase::Reduce);
-        let lrel0 = b.rel(SeqBase::Landing);
+        let srel0 = b.rel(SeqBase::Smp);
 
         let out: Vec<(NodeId, Vec<WirePiece>)> = (0..nodes)
             .filter(|&d| d != me)
@@ -393,7 +387,7 @@ impl SrmComm {
         // orders agree because both sides walk rounds ascending with
         // destinations ascending inside a round.
         let mut crel = vec![0u64; p];
-        let mut li = 0u64;
+        let mut si = 0u64;
 
         for r in 0..rounds {
             // Outbound: one piece toward every destination still active.
@@ -420,11 +414,7 @@ impl SrmComm {
                         let u = piece.src_slot;
                         let rel = rel0 + crel[u];
                         crel[u] += 1;
-                        b.push(Step::FlagWaitGe {
-                            flag: FlagRef::ContribReady { slot: u },
-                            val: seq(SeqBase::Reduce, rel + 1),
-                            label: "pairwise piece staged",
-                        });
+                        self.plan_contrib_wait(b, u, rel, "pairwise piece staged");
                         credit_guard(b, *d);
                         b.push(Step::CreditWait {
                             ctr: CtrRef::PairwiseFree { node: me, dst: *d },
@@ -441,43 +431,19 @@ impl SrmComm {
                         });
                         // The put snapshots the source synchronously,
                         // so the contribution side drains immediately.
-                        if rel == rel0 && !crate::plan::skip_order_guards() {
-                            // DONE must stay skip-free across
-                            // collectives (see
-                            // `plan_smp_reduce_chunk`).
-                            b.push(Step::FlagWaitGe {
-                                flag: FlagRef::ContribDone { slot: u },
-                                val: seq(SeqBase::Reduce, rel0),
-                                label: "contrib consumed in order",
-                            });
-                        }
-                        b.push(Step::FlagRaise {
-                            flag: FlagRef::ContribDone { slot: u },
-                            val: seq(SeqBase::Reduce, rel + 1),
-                        });
+                        self.plan_contrib_done(b, u, rel);
                     }
                 } else if piece.src_slot == my {
                     let rel = rel0 + crel[my];
                     crel[my] += 1;
-                    b.push(Step::DrainWait {
-                        flag: FlagRef::ContribDone { slot: my },
-                        base: SeqBase::Reduce,
+                    self.plan_contrib_publish(
+                        b,
                         rel,
-                        scale: 1,
-                        label: "contrib side drained",
-                    });
-                    b.push(Step::ShmCopy {
-                        src: BufRef::User,
-                        src_off: Off::Lit(piece.src_off),
-                        dst: BufRef::Contrib { slot: my },
-                        dst_off: poff(SeqBase::Reduce, rel, t.reduce_chunk),
-                        len: piece.len,
-                        cost: CopyCost::Write(1),
-                    });
-                    b.push(Step::FlagRaise {
-                        flag: FlagRef::ContribReady { slot: my },
-                        val: seq(SeqBase::Reduce, rel + 1),
-                    });
+                        BufRef::User,
+                        Off::Lit(piece.src_off),
+                        piece.len,
+                        CopyCost::Write(1),
+                    );
                 }
             }
             // Inbound: drain one piece from every source still active.
@@ -490,26 +456,22 @@ impl SrmComm {
                         n: 1,
                     });
                     if local_multi {
-                        let lrel = lrel0 + li;
-                        let lside = par(SeqBase::Landing, lrel);
+                        let side = par(SeqBase::Smp, srel0 + si);
                         b.push(Step::PairWaitFree {
-                            pair: PairSel::Landing,
-                            side: lside,
+                            pair: PairSel::Smp,
+                            side,
                         });
                         b.push(Step::ShmCopy {
                             src: BufRef::PairwiseRing { node: me, src: *s },
                             src_off: ring_off,
-                            dst: BufRef::Landing {
-                                node: me,
-                                side: lside,
-                            },
+                            dst: BufRef::Smp { side },
                             dst_off: Off::Lit(0),
                             len: piece.len,
                             cost: CopyCost::Write(1),
                         });
                         b.push(Step::PairPublish {
-                            pair: PairSel::Landing,
-                            side: lside,
+                            pair: PairSel::Smp,
+                            side,
                         });
                         // The ring slot is copied out: return the
                         // credit before distributing locally.
@@ -517,21 +479,7 @@ impl SrmComm {
                             to: self.cmaster_of(*s),
                             ctr: CtrRef::PairwiseFree { node: *s, dst: me },
                         });
-                        for &(tslot, po, recv_off, olen) in &piece.overlaps {
-                            if tslot == my {
-                                b.push(Step::ShmCopy {
-                                    src: BufRef::Landing {
-                                        node: me,
-                                        side: lside,
-                                    },
-                                    src_off: Off::Lit(po),
-                                    dst: BufRef::User,
-                                    dst_off: Off::Lit(recv_off),
-                                    len: olen,
-                                    cost: CopyCost::Read(read_streams),
-                                });
-                            }
-                        }
+                        self.plan_piece_overlaps(b, side, &piece.overlaps, read_streams);
                     } else {
                         for &(tslot, po, recv_off, olen) in &piece.overlaps {
                             debug_assert_eq!(tslot, 0);
@@ -550,34 +498,19 @@ impl SrmComm {
                         });
                     }
                 } else {
-                    let lrel = lrel0 + li;
-                    let lside = par(SeqBase::Landing, lrel);
+                    let side = par(SeqBase::Smp, srel0 + si);
                     b.push(Step::PairWaitPublished {
-                        pair: PairSel::Landing,
-                        side: lside,
+                        pair: PairSel::Smp,
+                        side,
                     });
-                    for &(tslot, po, recv_off, olen) in &piece.overlaps {
-                        if tslot == my {
-                            b.push(Step::ShmCopy {
-                                src: BufRef::Landing {
-                                    node: me,
-                                    side: lside,
-                                },
-                                src_off: Off::Lit(po),
-                                dst: BufRef::User,
-                                dst_off: Off::Lit(recv_off),
-                                len: olen,
-                                cost: CopyCost::Read(read_streams),
-                            });
-                        }
-                    }
+                    self.plan_piece_overlaps(b, side, &piece.overlaps, read_streams);
                     b.push(Step::PairRelease {
-                        pair: PairSel::Landing,
-                        side: lside,
+                        pair: PairSel::Smp,
+                        side,
                     });
                 }
                 if local_multi {
-                    li += 1;
+                    si += 1;
                 }
             }
         }
@@ -596,40 +529,30 @@ impl SrmComm {
             }
         }
 
-        // Re-synchronize the contribution channels with the group-wide
-        // uniform advance. A slot that staged fewer pieces than the
-        // group maximum (ragged counts, uneven nodes, or the master,
-        // which stages nothing) raises its own flags the rest of the
-        // way — but only after its consumer finished, so the flags
-        // never move backwards.
-        if r_adv > 0 {
-            let mine = if my == 0 { 0 } else { crel[my] };
-            if mine > 0 && mine < r_adv {
-                b.push(Step::FlagWaitGe {
-                    flag: FlagRef::ContribDone { slot: my },
-                    val: seq(SeqBase::Reduce, rel0 + mine),
-                    label: "pairwise contributions consumed",
+        b.advance(SeqBase::Reduce, r_adv);
+        b.advance(SeqBase::Smp, si);
+    }
+
+    /// Copy my overlaps of a distributed wire piece out of SMP pair
+    /// `side` into my user buffer.
+    fn plan_piece_overlaps(
+        &self,
+        b: &mut PlanBuilder,
+        side: Side,
+        overlaps: &[(usize, usize, usize, usize)],
+        read_streams: usize,
+    ) {
+        for &(tslot, po, recv_off, olen) in overlaps {
+            if tslot == self.cslot() {
+                b.push(Step::ShmCopy {
+                    src: BufRef::Smp { side },
+                    src_off: Off::Lit(po),
+                    dst: BufRef::User,
+                    dst_off: Off::Lit(recv_off),
+                    len: olen,
+                    cost: CopyCost::Read(read_streams),
                 });
             }
-            if mine < r_adv {
-                self.plan_contrib_catchup(b, rel0 + r_adv);
-            }
-            b.advance(SeqBase::Reduce, r_adv);
-        }
-        // Uniform even for members whose node has a single slot or
-        // fewer inbound pieces than the group maximum: the parity base
-        // must track the rest of the group. The pair's RELEASED
-        // counters index uses absolutely, so each slot accounts the
-        // uses its node skipped as released.
-        if g_land > 0 {
-            if li < g_land {
-                b.push(Step::PairCatchUp {
-                    pair: PairSel::Landing,
-                    base: SeqBase::Landing,
-                    rel: lrel0 + g_land,
-                });
-            }
-            b.advance(SeqBase::Landing, g_land);
         }
     }
 
@@ -996,8 +919,8 @@ impl SrmComm {
     /// segment `me`. Each piece round reduces one piece of every peer
     /// node's block up the SMP tree, streams it into the peer's landing
     /// ring, then folds the arrived peer pieces into the own-block
-    /// reduction and scatters the finished piece through the landing
-    /// pair. Node blocks decompose exactly like the scatter protocol's
+    /// reduction and scatters the finished piece through the SMP pair.
+    /// Node blocks decompose exactly like the scatter protocol's
     /// ([`SrmComm::scatter_pieces`]), so non-contiguous and uneven
     /// groups work and both ends of every stream agree on the piece
     /// sequence.
@@ -1021,7 +944,7 @@ impl SrmComm {
         let multi = self.cmulti();
         let read_streams = p.saturating_sub(1).max(1);
         let rel0 = b.rel(SeqBase::Reduce);
-        let lrel0 = b.rel(SeqBase::Landing);
+        let srel0 = b.rel(SeqBase::Smp);
         let mut rel = rel0;
 
         let pieces: Vec<Vec<(usize, usize, usize)>> = (0..nodes)
@@ -1031,7 +954,7 @@ impl SrmComm {
 
         // Direct route: pieces rendezvous in a per-call scratch region
         // at the destination master instead of staging through the
-        // landing rings — the SMP pre-reduction and landing-pair
+        // landing rings — the SMP pre-reduction and SMP-pair
         // distribution are unchanged, only the wire differs. The
         // scratch holds one logical block per peer; `region(d, s)` is
         // source `s`'s index among `d`'s peers, ascending.
@@ -1181,32 +1104,26 @@ impl SrmComm {
                 let lo = blk;
                 let hi = (blk + plen).min(len);
                 if p > 1 {
-                    let lside = par(SeqBase::Landing, lrel0 + k as u64);
+                    let side = par(SeqBase::Smp, srel0 + k as u64);
                     b.push(Step::PairWaitFree {
-                        pair: PairSel::Landing,
-                        side: lside,
+                        pair: PairSel::Smp,
+                        side,
                     });
                     b.push(Step::ShmCopy {
                         src: BufRef::Acc,
                         src_off: Off::Lit(0),
-                        dst: BufRef::Landing {
-                            node: me,
-                            side: lside,
-                        },
+                        dst: BufRef::Smp { side },
                         dst_off: Off::Lit(0),
                         len: plen,
                         cost: CopyCost::Write(1),
                     });
                     b.push(Step::PairPublish {
-                        pair: PairSel::Landing,
-                        side: lside,
+                        pair: PairSel::Smp,
+                        side,
                     });
                     if lo < hi {
                         b.push(Step::ShmCopy {
-                            src: BufRef::Landing {
-                                node: me,
-                                side: lside,
-                            },
+                            src: BufRef::Smp { side },
                             src_off: Off::Lit(lo - blk),
                             dst: BufRef::User,
                             dst_off: Off::Lit(self.crank() * len + lo),
@@ -1227,19 +1144,16 @@ impl SrmComm {
                 }
             } else {
                 // Non-root slot: read my result overlap off the pair.
-                let lside = par(SeqBase::Landing, lrel0 + k as u64);
+                let side = par(SeqBase::Smp, srel0 + k as u64);
                 b.push(Step::PairWaitPublished {
-                    pair: PairSel::Landing,
-                    side: lside,
+                    pair: PairSel::Smp,
+                    side,
                 });
                 let lo = blk.max(my * len);
                 let hi = (blk + plen).min((my + 1) * len);
                 if lo < hi {
                     b.push(Step::ShmCopy {
-                        src: BufRef::Landing {
-                            node: me,
-                            side: lside,
-                        },
+                        src: BufRef::Smp { side },
                         src_off: Off::Lit(lo - blk),
                         dst: BufRef::User,
                         dst_off: Off::Lit(self.crank() * len + (lo - my * len)),
@@ -1248,8 +1162,8 @@ impl SrmComm {
                     });
                 }
                 b.push(Step::PairRelease {
-                    pair: PairSel::Landing,
-                    side: lside,
+                    pair: PairSel::Smp,
+                    side,
                 });
             }
         }
@@ -1264,30 +1178,12 @@ impl SrmComm {
                 }
             }
         }
-        if my == 0 {
-            // The subtree root consumed everyone's contributions but
-            // staged none of its own.
-            self.plan_contrib_catchup(b, rel);
-        }
         // `rel - rel0` is `Σ_d pieces[d].len()` on every member (each
         // walks all destinations plus its own block), so the Reduce
-        // advance is uniform by construction; Landing advances by the
-        // round count — the largest per-node piece count — on every
-        // member for the same parity-uniformity reason as the wire.
+        // advance is uniform by construction.
         b.advance(SeqBase::Reduce, rel - rel0);
-        if rounds > 0 {
-            // My node distributed only its own `pieces[me]` rounds
-            // through the landing pair (none on a single-slot node);
-            // account the skipped uses as released.
-            let mine = if p > 1 { pieces[me].len() } else { 0 };
-            if mine < rounds {
-                b.push(Step::PairCatchUp {
-                    pair: PairSel::Landing,
-                    base: SeqBase::Landing,
-                    rel: lrel0 + rounds as u64,
-                });
-            }
-            b.advance(SeqBase::Landing, rounds as u64);
+        if p > 1 {
+            b.advance(SeqBase::Smp, pieces[me].len() as u64);
         }
     }
 }

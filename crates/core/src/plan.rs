@@ -31,26 +31,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Fault-injection switch: when enabled, planners omit the
-/// "contrib consumed in order" guards that keep the contribution DONE
-/// flags skip-free when the consumer set changes between collectives
-/// (a gather root handing over to an SMP-tree interior rank, say).
-/// Combined with [`shmem::set_nonmonotone_raise`] this re-opens the
-/// cross-collective overwrite race the schedule-exploration harness
-/// originally found, so the harness can prove it still detects that
-/// bug class. Test-harness machinery: process-global, read at *plan
-/// build* time (set it before any collective runs), never for
-/// protocol use.
-static SKIP_ORDER_GUARDS: AtomicBool = AtomicBool::new(false);
+/// contribution drain guard ([`Step::ContribDrained`]), so a slot may
+/// refill a buffer side its consumer has not read yet. Exists so the
+/// schedule-exploration harness can prove it detects that overwrite.
+/// Test-harness machinery: process-global, read at *plan build* time
+/// (set it before any collective runs), never for protocol use.
+static SKIP_CONTRIB_DRAIN: AtomicBool = AtomicBool::new(false);
 
-/// Enable or disable the order-guard omission fault injection; returns
-/// the previous setting. See `SKIP_ORDER_GUARDS`'s caveats.
-pub fn set_skip_order_guards(enabled: bool) -> bool {
-    SKIP_ORDER_GUARDS.swap(enabled, Ordering::SeqCst)
+/// Enable or disable the drain-guard omission fault injection; returns
+/// the previous setting. See `SKIP_CONTRIB_DRAIN`'s caveats.
+pub fn set_skip_contrib_drain(enabled: bool) -> bool {
+    SKIP_CONTRIB_DRAIN.swap(enabled, Ordering::SeqCst)
 }
 
-/// Whether planners should omit the skip-free DONE-flag guards.
-pub(crate) fn skip_order_guards() -> bool {
-    SKIP_ORDER_GUARDS.load(Ordering::SeqCst)
+/// Whether planners should omit the contribution drain guard.
+pub(crate) fn skip_contrib_drain() -> bool {
+    SKIP_CONTRIB_DRAIN.load(Ordering::SeqCst)
 }
 
 /// The per-rank cumulative sequence cells a plan's relative values are
@@ -58,7 +54,8 @@ pub(crate) fn skip_order_guards() -> bool {
 /// starts; `Seq { base, rel }` then means `sample[base] + rel`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeqBase {
-    /// Chunks through the node's intra-node broadcast pair.
+    /// Uses of the node's SMP pair (broadcast cells and intra-node
+    /// distribution pieces).
     Smp,
     /// Chunks through the node's landing pair.
     Landing,
@@ -350,20 +347,35 @@ pub enum FlagRef {
         /// Which slot's flag.
         slot: usize,
     },
-    /// Cumulative chunks `slot` published in its contribution buffer.
+    /// Contribution channel of `slot`, one flag per buffer side: the
+    /// owning slot raises it to `u + 1` when it publishes use `u` on
+    /// that side.
     ContribReady {
-        /// Which slot's flag.
+        /// Which slot's channel.
         slot: usize,
+        /// Which buffer side.
+        side: Side,
     },
-    /// Cumulative chunks of `slot` its consumer has drained.
+    /// Contribution channel of `slot`, one flag per buffer side: the
+    /// consumer raises it to `u + 1` when it has drained use `u`.
     ContribDone {
-        /// Which slot's flag.
+        /// Which slot's channel.
         slot: usize,
+        /// Which buffer side.
+        side: Side,
     },
-    /// Cumulative chunks the master wrote into `xfer`.
-    XferReady,
-    /// Cumulative chunks the root consumed from `xfer`.
-    XferDone,
+    /// The `xfer` handoff, one flag per buffer side: the producer
+    /// (master or root) raises it to `u + 1` when use `u` is written.
+    XferReady {
+        /// Which buffer side.
+        side: Side,
+    },
+    /// The `xfer` handoff, one flag per buffer side: the consumer
+    /// raises it to `u + 1` when use `u` is drained.
+    XferDone {
+        /// Which buffer side.
+        side: Side,
+    },
     /// Tree-variant publish counter of `slot`.
     TreeReady {
         /// Which slot's flag.
@@ -471,9 +483,10 @@ pub enum Step {
         /// Wait label.
         label: &'static str,
     },
-    /// The double-buffer drain guard: with `cum = bases[base] + rel`,
-    /// if `cum >= 2` wait until `flag >= (cum - 1) * scale` (the side
-    /// about to be overwritten has been drained `scale` times).
+    /// The drain guard of a gap-free channel (every use is produced and
+    /// consumed): with `cum = bases[base] + rel`, if `cum >= 2` wait
+    /// until `flag >= (cum - 1) * scale` (the side about to be
+    /// overwritten has been drained `scale` times).
     DrainWait {
         /// Flag to watch.
         flag: FlagRef,
@@ -485,6 +498,14 @@ pub enum Step {
         scale: u64,
         /// Wait label.
         label: &'static str,
+    },
+    /// The contribution drain guard of my own slot: block until this
+    /// side's `ContribDone` has reached my last publish on the side
+    /// (my `ContribReady` value there). Only the owner publishes on its
+    /// channel, so uses an operation skips need no re-synchronization.
+    ContribDrained {
+        /// Which buffer side is about to be refilled.
+        side: Side,
     },
     /// Writer claim of a pair side (block until every reader released).
     PairWaitFree {
@@ -523,20 +544,6 @@ pub enum Step {
         pair: PairSel,
         /// Which side.
         side: Side,
-    },
-    /// Raise my own RELEASED counters on both pair sides to cover every
-    /// use below `bases[base] + rel`. Emitted where a plan advances a
-    /// pair-bearing sequence base by a *group-wide* amount while this
-    /// node participated in fewer uses (ragged streams, single-member
-    /// nodes): the skipped uses must still be accounted as released or
-    /// a later writer's free-wait would starve.
-    PairCatchUp {
-        /// Which pair.
-        pair: PairSel,
-        /// Cumulative base the pair sequences against.
-        base: SeqBase,
-        /// Plan-relative end of the advance (`rel0 + advance`).
-        rel: u64,
     },
     /// One-sided put to rank `to`, optionally bumping a counter there.
     RmaPut {
@@ -645,13 +652,12 @@ impl Step {
             Step::FlagRaise { .. } => "step:flag-raise",
             Step::FlagAdd { .. } => "step:flag-add",
             Step::FlagWaitEq { .. } | Step::FlagWaitGe { .. } => "step:flag-wait",
-            Step::DrainWait { .. } => "step:drain-wait",
+            Step::DrainWait { .. } | Step::ContribDrained { .. } => "step:drain-wait",
             Step::PairWaitFree { .. } => "step:pair-wait-free",
             Step::PairPublish { .. } => "step:pair-publish",
             Step::PairWaitPublished { .. } => "step:pair-wait-published",
             Step::PairRelease { .. } => "step:pair-release",
             Step::PairWaitDrained { .. } => "step:pair-wait-drained",
-            Step::PairCatchUp { .. } => "step:pair-catch-up",
             Step::RmaPut { .. } => "step:rma-put",
             Step::CounterPut { .. } => "step:counter-put",
             Step::CounterWait { .. } | Step::CounterWaitGe { .. } => "step:counter-wait",

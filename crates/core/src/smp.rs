@@ -23,6 +23,7 @@
 //! buffers"). The inter-node planners interleave cell writes with
 //! network steps to build their pipelines.
 
+use crate::inter::{par, poff, seq};
 use crate::plan::{
     BufRef, CopyCost, FlagRef, Off, PairSel, PlanBuilder, PlanShape, SeqBase, Side, Step, Val,
 };
@@ -372,14 +373,8 @@ impl SrmComm {
         let kind = self.tree();
         let chunk_cap = self.tuning().reduce_chunk;
         debug_assert!(clen <= chunk_cap);
-        let side_off = Off::Parity {
-            base: SeqBase::Reduce,
-            rel,
-            stride: chunk_cap,
-        };
-
-        let my = self.cslot();
-        let vs = (my + p - dst_slot) % p;
+        let side_off = poff(SeqBase::Reduce, rel, chunk_cap);
+        let vs = (self.cslot() + p - dst_slot) % p;
         let kids = crate::embed::children_ascending(kind, vs, p);
         let unv = |v: usize| (v + dst_slot) % p;
 
@@ -388,105 +383,96 @@ impl SrmComm {
         if vs != 0 && kids.is_empty() {
             // Lowest level: the one real memory copy of the algorithm.
             // Roughly half the node's tasks copy concurrently.
-            b.push(Step::DrainWait {
-                flag: FlagRef::ContribDone { slot: my },
-                base: SeqBase::Reduce,
+            self.plan_contrib_publish(
+                b,
                 rel,
-                scale: 1,
-                label: "contrib side drained",
-            });
-            b.push(Step::ShmCopy {
-                src: BufRef::Acc,
-                src_off: Off::Lit(0),
-                dst: BufRef::Contrib { slot: my },
-                dst_off: side_off,
-                len: clen,
-                cost: CopyCost::Write((p / 2).max(1)),
-            });
-            b.push(Step::FlagRaise {
-                flag: FlagRef::ContribReady { slot: my },
-                val: Val::Seq {
-                    base: SeqBase::Reduce,
-                    rel: rel + 1,
-                },
-            });
+                BufRef::Acc,
+                Off::Lit(0),
+                clen,
+                CopyCost::Write((p / 2).max(1)),
+            );
             return false;
         }
 
         // Interior (or root): fold each child's shared buffer into the
         // running chunk — operator execution only, no data movement.
-        let first = rel == b.rel(SeqBase::Reduce);
         for kv in kids {
             let cslot = unv(kv);
-            b.push(Step::FlagWaitGe {
-                flag: FlagRef::ContribReady { slot: cslot },
-                val: Val::Seq {
-                    base: SeqBase::Reduce,
-                    rel: rel + 1,
-                },
-                label: "child contribution ready",
-            });
+            self.plan_contrib_wait(b, cslot, rel, "child contribution ready");
             b.push(Step::LocalReduce {
                 src: BufRef::Contrib { slot: cslot },
                 src_off: side_off,
                 len: clen,
             });
-            if first && !crate::plan::skip_order_guards() {
-                // The DONE flag must advance without skipping sequence
-                // numbers: the previous collective on this channel may
-                // have a *different* consumer rank (e.g. a gather root)
-                // that has not drained the child's last chunk yet, and
-                // a max-raise past it would let the child overwrite
-                // that chunk's side early. Within one plan the single
-                // consumer is ordered, so only the first fold per plan
-                // needs the guard.
-                b.push(Step::FlagWaitGe {
-                    flag: FlagRef::ContribDone { slot: cslot },
-                    val: Val::Seq {
-                        base: SeqBase::Reduce,
-                        rel,
-                    },
-                    label: "contrib consumed in order",
-                });
-            }
-            b.push(Step::FlagRaise {
-                flag: FlagRef::ContribDone { slot: cslot },
-                val: Val::Seq {
-                    base: SeqBase::Reduce,
-                    rel: rel + 1,
-                },
-            });
+            self.plan_contrib_done(b, cslot, rel);
         }
 
-        if vs == 0 {
-            // Subtree root: the accumulator holds the result; the
-            // caller routes it onward (the last operator pass's output
-            // stream — no extra copy).
-            true
-        } else {
-            b.push(Step::DrainWait {
-                flag: FlagRef::ContribDone { slot: my },
-                base: SeqBase::Reduce,
-                rel,
-                scale: 1,
-                label: "contrib side drained",
-            });
-            b.push(Step::ShmCopy {
-                src: BufRef::Acc,
-                src_off: Off::Lit(0),
-                dst: BufRef::Contrib { slot: my },
-                dst_off: side_off,
-                len: clen,
-                cost: CopyCost::Free,
-            });
-            b.push(Step::FlagRaise {
-                flag: FlagRef::ContribReady { slot: my },
-                val: Val::Seq {
-                    base: SeqBase::Reduce,
-                    rel: rel + 1,
-                },
-            });
-            false
+        if vs != 0 {
+            self.plan_contrib_publish(b, rel, BufRef::Acc, Off::Lit(0), clen, CopyCost::Free);
         }
+        // At the subtree root the accumulator holds the result; the
+        // caller routes it onward (the last operator pass's output
+        // stream — no extra copy).
+        vs == 0
+    }
+
+    /// Producer half of contribution use `rel` (against
+    /// [`SeqBase::Reduce`]) on my own slot's channel: wait until my last
+    /// use of the side is drained, fill the side from `src`, publish.
+    pub(crate) fn plan_contrib_publish(
+        &self,
+        b: &mut PlanBuilder,
+        rel: u64,
+        src: BufRef,
+        src_off: Off,
+        len: usize,
+        cost: CopyCost,
+    ) {
+        let my = self.cslot();
+        let side = par(SeqBase::Reduce, rel);
+        if !crate::plan::skip_contrib_drain() {
+            b.push(Step::ContribDrained { side });
+        }
+        b.push(Step::ShmCopy {
+            src,
+            src_off,
+            dst: BufRef::Contrib { slot: my },
+            dst_off: poff(SeqBase::Reduce, rel, self.tuning().reduce_chunk),
+            len,
+            cost,
+        });
+        b.push(Step::FlagRaise {
+            flag: FlagRef::ContribReady { slot: my, side },
+            val: seq(SeqBase::Reduce, rel + 1),
+        });
+    }
+
+    /// Consumer: wait until `slot` has published contribution use `rel`.
+    pub(crate) fn plan_contrib_wait(
+        &self,
+        b: &mut PlanBuilder,
+        slot: usize,
+        rel: u64,
+        label: &'static str,
+    ) {
+        b.push(Step::FlagWaitGe {
+            flag: FlagRef::ContribReady {
+                slot,
+                side: par(SeqBase::Reduce, rel),
+            },
+            val: seq(SeqBase::Reduce, rel + 1),
+            label,
+        });
+    }
+
+    /// Consumer: mark `slot`'s contribution use `rel` drained.
+    pub(crate) fn plan_contrib_done(&self, b: &mut PlanBuilder, slot: usize, rel: u64) {
+        b.push(Step::FlagRaise {
+            flag: FlagRef::ContribDone {
+                slot,
+                side: par(SeqBase::Reduce, rel),
+            },
+            val: seq(SeqBase::Reduce, rel + 1),
+        });
     }
 }

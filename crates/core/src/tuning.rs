@@ -24,6 +24,10 @@ pub enum TuningError {
     /// `allreduce_rd_max > reduce_chunk`: recursive-doubling payloads
     /// are staged in reduce-chunk-sized buffers.
     RdMaxExceedsReduceChunk,
+    /// `reduce_chunk > smp_buf`: the intra-node distribution pieces of
+    /// scatter and the pairwise exchanges (at most `reduce_chunk`
+    /// bytes) stage in the SMP broadcast pair.
+    ReduceChunkExceedsSmpBuf,
     /// The small-broadcast pipeline range is inconsistent:
     /// `pipeline_min > pipeline_max`, or `pipeline_chunk` /
     /// `pipeline_max` above `small_large_switch`. (Equal min and max
@@ -44,6 +48,9 @@ impl fmt::Display for TuningError {
             TuningError::LargeChunkNotCellMultiple => "large_chunk must be a multiple of smp_buf",
             TuningError::RdMaxExceedsReduceChunk => {
                 "recursive-doubling payloads are staged in reduce-chunk-sized buffers"
+            }
+            TuningError::ReduceChunkExceedsSmpBuf => {
+                "distribution pieces of reduce_chunk bytes stage in smp_buf-sized buffers"
             }
             TuningError::PipelineRangeInvalid => {
                 "small-broadcast pipeline range must lie below the large switch"
@@ -171,6 +178,9 @@ impl SrmTuning {
         if self.allreduce_rd_max > self.reduce_chunk {
             return Err(TuningError::RdMaxExceedsReduceChunk);
         }
+        if self.reduce_chunk > self.smp_buf {
+            return Err(TuningError::ReduceChunkExceedsSmpBuf);
+        }
         if self.pipeline_chunk > self.small_large_switch
             || self.pipeline_min > self.pipeline_max
             || self.pipeline_max > self.small_large_switch
@@ -254,6 +264,13 @@ mod tests {
                     ..d
                 },
                 TuningError::RdMaxExceedsReduceChunk,
+            ),
+            (
+                SrmTuning {
+                    reduce_chunk: d.smp_buf + 1,
+                    ..d
+                },
+                TuningError::ReduceChunkExceedsSmpBuf,
             ),
             (
                 SrmTuning {

@@ -26,9 +26,11 @@ use std::sync::{Arc, Mutex};
 pub struct NodeBoard {
     /// Intra-node broadcast double buffer (Figure 3). Readers = slots.
     pub smp: BufPair,
-    /// Landing zone for inter-node small-message broadcast puts; reused
-    /// as the intra-node distribution buffer without re-copying
-    /// ("data moved by LAPI is directly available to all the tasks").
+    /// Landing zone for inter-node small-message broadcast puts, also
+    /// the intra-node distribution buffer of those broadcasts, without
+    /// re-copying ("data moved by LAPI is directly available to all the
+    /// tasks"). Only broadcast legs use it, so the per-edge credits
+    /// cover every remote write into a side.
     pub landing: BufPair,
     /// Target counters bumped by the parent's puts into `landing`
     /// (one per buffer side).
@@ -38,17 +40,22 @@ pub struct NodeBoard {
     /// Per-slot reduce contribution buffers (Figure 2), double-buffered
     /// by chunk parity: capacity `2 × reduce_chunk`.
     pub contrib: Vec<ShmBuffer>,
-    /// Cumulative count of chunks each slot has published in `contrib`.
-    pub contrib_ready: Vec<SpinFlag>,
-    /// Cumulative count of each slot's chunks its parent has consumed.
-    pub contrib_done: Vec<SpinFlag>,
-    /// Master→root handoff buffer for reduce when the root is not the
-    /// node master (double-buffered by chunk parity).
+    /// Per-slot, per-side publish flags of `contrib`: use `u` of the
+    /// channel lives on side `u % 2`, and its owner raises
+    /// `contrib_ready[slot][u % 2]` to `u + 1`.
+    pub contrib_ready: Vec<[SpinFlag; 2]>,
+    /// Per-slot, per-side drain flags: the consumer of use `u` raises
+    /// `contrib_done[slot][u % 2]` to `u + 1`.
+    pub contrib_done: Vec<[SpinFlag; 2]>,
+    /// Master↔root handoff buffer of the root node when the root is not
+    /// the node master (double-buffered by chunk parity).
     pub xfer: ShmBuffer,
-    /// Cumulative chunks the master wrote into `xfer`.
-    pub xfer_ready: SpinFlag,
-    /// Cumulative chunks the root consumed from `xfer`.
-    pub xfer_done: SpinFlag,
+    /// Per-side publish flags of `xfer` (use `u` on side `u % 2`,
+    /// raised to `u + 1` by whichever of master and root produced it).
+    pub xfer_ready: [SpinFlag; 2],
+    /// Per-side drain flags of `xfer`, raised to `u + 1` by the
+    /// consumer of use `u`.
+    pub xfer_done: [SpinFlag; 2],
     /// Cumulative per-slot chunk counters for the *tree-based* SMP
     /// broadcast variant kept for the ablation study (§2.2 compares it
     /// against the flat algorithm and rejects it).
@@ -61,6 +68,11 @@ pub struct NodeBoard {
     pub gs_addr: SimVar<Option<ShmBuffer>>,
 }
 
+/// One zeroed flag per buffer side.
+fn side_flags(handle: &SimHandle) -> [SpinFlag; 2] {
+    [SpinFlag::new(handle, 0), SpinFlag::new(handle, 0)]
+}
+
 impl NodeBoard {
     fn new(handle: &SimHandle, tasks_per_node: usize, tuning: &SrmTuning) -> Self {
         NodeBoard {
@@ -71,15 +83,11 @@ impl NodeBoard {
             contrib: (0..tasks_per_node)
                 .map(|_| ShmBuffer::new(2 * tuning.reduce_chunk))
                 .collect(),
-            contrib_ready: (0..tasks_per_node)
-                .map(|_| SpinFlag::new(handle, 0))
-                .collect(),
-            contrib_done: (0..tasks_per_node)
-                .map(|_| SpinFlag::new(handle, 0))
-                .collect(),
+            contrib_ready: (0..tasks_per_node).map(|_| side_flags(handle)).collect(),
+            contrib_done: (0..tasks_per_node).map(|_| side_flags(handle)).collect(),
             xfer: ShmBuffer::new(2 * tuning.reduce_chunk),
-            xfer_ready: SpinFlag::new(handle, 0),
-            xfer_done: SpinFlag::new(handle, 0),
+            xfer_ready: side_flags(handle),
+            xfer_done: side_flags(handle),
             tree_ready: (0..tasks_per_node)
                 .map(|_| SpinFlag::new(handle, 0))
                 .collect(),
@@ -457,8 +465,9 @@ impl CommState {
 /// clones the nonblocking executor parks inside pending schedules — so
 /// all of them observe the same protocol position.
 pub(crate) struct CommSeat {
-    /// Cumulative intra-node broadcast chunks this node has pushed
-    /// through its [`NodeBoard::smp`] pair.
+    /// Cumulative uses of the node's [`NodeBoard::smp`] pair: broadcast
+    /// cells and the intra-node distribution pieces of scatter,
+    /// reduce_scatter and the pairwise exchanges.
     pub smp_seq: AtomicU64,
     /// Cumulative chunks through the node's landing pair — consecutive
     /// operations alternate buffers ("to improve concurrency", §2.2).
@@ -467,7 +476,7 @@ pub(crate) struct CommSeat {
     pub tree_seq: AtomicU64,
     /// Cumulative reduce chunks this node has pushed through `contrib`.
     pub reduce_cum: AtomicU64,
-    /// Cumulative chunks through the master→root `xfer` buffer.
+    /// Cumulative chunks through the master↔root `xfer` buffer.
     pub xfer_cum: AtomicU64,
     /// Barriers completed (drives the cumulative round counters).
     pub barrier_seq: AtomicU64,

@@ -266,6 +266,45 @@ fn repeated_mixed_operations_reuse_state_correctly() {
     }
 }
 
+/// A gather rooted at a non-master, then a scatter rooted at another
+/// non-master of the same node: the two calls hand the node's
+/// master↔root `xfer` channel over with opposite producers. The gather
+/// root's buffer is snapshotted the moment the call returns, so a root
+/// woken before the master absorbed every remote piece is caught.
+#[test]
+fn gather_then_scatter_from_non_master_roots() {
+    let topo = Topology::new(4, 4);
+    let n = topo.nprocs();
+    let (glen, slen) = (8usize, 8960usize);
+    let (results, _) = run_srm(topo, SrmTuning::default(), move |ctx, comm, rank| {
+        let gbuf = comm.alloc_buffer(n * glen);
+        gbuf.with_mut(|d| d[rank * glen..][..glen].copy_from_slice(&pattern(glen, rank as u8)));
+        comm.gather(ctx, &gbuf, glen, 2);
+        let mut out = if rank == 2 {
+            gbuf.with(|d| d.to_vec())
+        } else {
+            Vec::new()
+        };
+        let sbuf = comm.alloc_buffer(n * slen);
+        if rank == 1 {
+            sbuf.with_mut(|d| {
+                for c in 0..n {
+                    d[c * slen..][..slen].copy_from_slice(&pattern(slen, 0x80 | c as u8));
+                }
+            });
+        }
+        comm.scatter(ctx, &sbuf, slen, 1);
+        out.extend(sbuf.with(|d| d[rank * slen..][..slen].to_vec()));
+        out
+    });
+    let gathered: Vec<u8> = (0..n).flat_map(|c| pattern(glen, c as u8)).collect();
+    assert_eq!(results[2][..n * glen], gathered[..], "gathered at root 2");
+    for (rank, r) in results.iter().enumerate() {
+        let seg = &r[r.len() - slen..];
+        assert_eq!(seg, pattern(slen, 0x80 | rank as u8), "scatter rank {rank}");
+    }
+}
+
 #[test]
 fn repeated_reduce_back_to_back() {
     // Regression: back-to-back reduces once wedged the simulation when

@@ -8,9 +8,10 @@
 //! fully released before refilling it.
 //!
 //! The same structure serves two roles in SRM:
-//! * intra-node broadcast (root = writer, other tasks = readers);
-//! * the landing zone for inter-node small-message puts (network parent
-//!   = writer via RMA, node tasks = readers).
+//! * intra-node broadcast and distribution (root or node master =
+//!   writer, other tasks = readers);
+//! * the landing zone for inter-node small-message broadcast puts
+//!   (network parent = writer via RMA, node tasks = readers).
 //!
 //! # Use sequences, not 0/1 flags
 //!
@@ -40,6 +41,9 @@
 //! * the free-wait for use `q` waits for every RELEASED flag of that
 //!   side to reach `q / 2` — distinguishing "everyone is done with use
 //!   `q - 2`" from "use `q - 2` was never announced".
+//!
+//! Every use of a pair's sequence is published and released: a node
+//! advances its sequence only by the uses it actually ran.
 
 use crate::buffer::ShmBuffer;
 use crate::flag::FlagBank;
@@ -147,20 +151,6 @@ impl BufPair {
     /// remote producer that overwrites this side next.
     pub fn wait_drained(&self, ctx: &Ctx, q: u64) {
         self.released[(q % 2) as usize].wait_all_ge(ctx, "buffer use drained", q / 2 + 1);
-    }
-
-    /// Account every use below `q_end` as released by slot `me` on both
-    /// sides. Used when a globally-advancing use sequence skips this
-    /// node (it had fewer stream pieces than the group maximum): the
-    /// skipped uses never touched the buffers, but the RELEASED
-    /// counters must still cover them or a later writer's
-    /// [`BufPair::wait_free`] would starve. Monotone — uses the slot
-    /// actually released are unaffected.
-    pub fn catch_up(&self, ctx: &Ctx, q_end: u64, me: usize) {
-        // Side 0 holds uses {0, 2, ...} below `q_end`: ⌈q_end/2⌉ of
-        // them; side 1 holds the remaining ⌊q_end/2⌋.
-        self.released[0].flag(me).raise(ctx, q_end.div_ceil(2));
-        self.released[1].flag(me).raise(ctx, q_end / 2);
     }
 }
 

@@ -14,22 +14,7 @@
 //! disturbed by traffic on another.
 
 use simnet::{Ctx, SimHandle, SimVar};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Fault-injection switch: when enabled, [`SpinFlag::raise`] degrades
-/// to a plain store — the pre-fix behaviour of the contribution
-/// catch-up race (a lagging raiser can then *regress* a cumulative
-/// flag). Exists so the schedule-exploration stress harness can prove
-/// it detects that bug class; never enable outside a dedicated test
-/// process (the switch is process-global).
-static NONMONOTONE_RAISE: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable the non-monotone-raise fault injection; returns
-/// the previous setting. This is test-harness machinery, process-global
-/// and not for protocol use — see the caveats above.
-pub fn set_nonmonotone_raise(enabled: bool) -> bool {
-    NONMONOTONE_RAISE.swap(enabled, Ordering::SeqCst)
-}
+use std::sync::atomic::Ordering;
 
 /// One synchronization word in simulated shared memory.
 #[derive(Clone)]
@@ -53,21 +38,16 @@ impl SpinFlag {
         self.var.store(ctx, value);
     }
 
-    /// Monotonically raise the flag to at least `value`: a max-store,
-    /// never a regression. Cumulative sequence flags have concurrent
-    /// raisers (a lagging consumer and a catch-up path can race); the
-    /// max-merge makes the outcome order-independent. Costs one flag
-    /// store.
+    /// Raise the flag to `value`: a store that must not lower it. A
+    /// sequence flag has one raiser per outstanding use, so raises
+    /// arrive in order; debug builds check that. Costs one flag store.
     pub fn raise(&self, ctx: &Ctx, value: u64) {
-        ctx.advance(ctx.config().flag_set_op);
-        ctx.metrics().flag_ops.fetch_add(1, Ordering::Relaxed);
-        if NONMONOTONE_RAISE.load(Ordering::Relaxed) {
-            // Injected fault: the unfixed plain store (see
-            // `set_nonmonotone_raise`).
-            self.var.store(ctx, value);
-        } else {
-            self.var.update(ctx, move |v| *v = (*v).max(value));
-        }
+        debug_assert!(
+            value >= self.var.get(),
+            "sequence flag lowered from {} to {value}",
+            self.var.get()
+        );
+        self.set(ctx, value);
     }
 
     /// Read the current value. Costs one flag operation (cache-line

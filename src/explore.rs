@@ -24,8 +24,8 @@
 //!   `tests/nonblocking.rs`);
 //! * **quiescence** — after a final verification allreduce and world
 //!   barrier, every contribution channel is drained
-//!   (`contrib_ready == contrib_done`, `xfer_ready == xfer_done` on
-//!   every board) and shutdown asserts the nonblocking queue is empty;
+//!   (`contrib_ready == contrib_done`, `xfer_ready == xfer_done` per
+//!   buffer side on every board) and shutdown asserts the nonblocking queue is empty;
 //! * **plan-cache coherence** — per-communicator `hits + misses`
 //!   equals collective calls issued, and `nb_issued` matches the
 //!   program's nonblocking step count;
@@ -673,10 +673,11 @@ fn issue_nb(
 }
 
 /// Quiescence check: every contribution channel and master↔root
-/// handoff on every board this rank can see is drained — cumulative
-/// publish counts equal cumulative consume counts.
+/// handoff on every board this rank can see is drained — on each buffer
+/// side, the last published use equals the last consumed use.
 fn check_quiescent(comm: &SrmComm, tag: &str) {
     let board = comm.board();
+    let peek = |f: &[shmem::SpinFlag; 2]| [f[0].peek(), f[1].peek()];
     for (slot, (r, d)) in board
         .contrib_ready
         .iter()
@@ -684,14 +685,14 @@ fn check_quiescent(comm: &SrmComm, tag: &str) {
         .enumerate()
     {
         assert_eq!(
-            r.peek(),
-            d.peek(),
+            peek(r),
+            peek(d),
             "{tag}: contribution channel slot {slot} not drained"
         );
     }
     assert_eq!(
-        board.xfer_ready.peek(),
-        board.xfer_done.peek(),
+        peek(&board.xfer_ready),
+        peek(&board.xfer_done),
         "{tag}: xfer handoff not drained"
     );
 }

@@ -5,8 +5,10 @@
 //!    gather follows another contribution-channel collective; a relay
 //!    master could consume contribution slots out of order across the
 //!    call boundary and overwrite a slot whose previous payload was not
-//!    yet drained. Fixed by the "contrib consumed in order" guards; the
-//!    `gather → reduce_scatter` program here is the minimal reproducer.
+//!    yet drained. First fixed by order guards on one cumulative DONE
+//!    flag; now ruled out by construction, because each buffer side
+//!    has its own DONE flag. The `gather → reduce_scatter` program here
+//!    is the minimal reproducer.
 //!
 //! 2. **Pair writer-handoff race** (perturbed seed 0x65): landing-pair
 //!    publish was one costed flag-set per reader, so under compute
@@ -17,12 +19,15 @@
 //!    protocol in `shmem::BufPair` (`ready`/`released` counter banks);
 //!    the alltoallv stall+straggler sweep here replays the trigger.
 //!
-//! Both bugs depended on `SpinFlag::raise` monotonicity for their fix,
-//! so these sweeps (run with the monotone default ON — see
-//! `tests/fault_injection.rs` for the reverted variant) pin exactly the
-//! behaviour the fault-injection detector checks from the other side.
+//! 3. **Landing-pair reuse across collectives** (seed 0x2a1 on the
+//!    forced direct route): a broadcast root's put landed, under a
+//!    never-used initial credit, in a landing side the child node's
+//!    master was still using to distribute a reduce_scatter's pieces.
+//!    Fixed by moving every intra-node distribution to the SMP pair, so
+//!    only broadcast puts write the landing pair.
 
 use simnet::{Perturb, SimTime};
+use srm::SegmentRoute;
 use srm_cluster::{explore_one, run_scenario, AliasMode, ExploreOpts, Op, ProgStep, Scenario};
 
 fn step(op: Op, seg: usize, root: usize, nonblocking: bool) -> ProgStep {
@@ -133,5 +138,20 @@ fn pair_handoff_alltoallv_stall_straggler() {
     // The exact seed whose derived scenario exposed the handoff race.
     if let Err(f) = explore_one(0x65, &ExploreOpts::default()) {
         panic!("historic pair-handoff seed regressed:\n{f}");
+    }
+}
+
+/// Landing-pair reuse: the derived scenario of seed 0x2a1 on the forced
+/// direct route runs a reduce_scatter, then a pipelined broadcast whose
+/// puts must not land in a side still holding the reduce_scatter's
+/// distribution.
+#[test]
+fn landing_pair_reduce_scatter_then_bcast_direct() {
+    let opts = ExploreOpts {
+        route: Some(SegmentRoute::Direct),
+        ..ExploreOpts::default()
+    };
+    if let Err(f) = explore_one(0x2a1, &opts) {
+        panic!("landing-pair reuse seed regressed:\n{f}");
     }
 }
